@@ -19,7 +19,6 @@ repro_serve_requests_total         op, code finished requests; ``code`` is
 repro_serve_request_seconds        op       latency histogram
   (_bucket/_sum/_count)
 repro_serve_in_flight              —        requests currently executing
-repro_serve_queue_depth            —        dispatcher queue backlog
 repro_serve_connections_active     —        open connections
 repro_serve_connections_total      —        connections accepted, ever
 repro_serve_connections_shed       —        connections shed by backpressure
@@ -215,7 +214,6 @@ def prometheus_text(state: Any, session: Any) -> str:
     snapshot = state.snapshot()
     gauges = (
         ("repro_serve_in_flight", "Requests currently executing.", snapshot["in_flight"]),
-        ("repro_serve_queue_depth", "Dispatcher queue backlog.", snapshot.get("queue_depth", 0)),
         ("repro_serve_connections_active", "Open connections.", snapshot["connections_active"]),
         ("repro_serve_connections_total", "Connections accepted.", snapshot["connections_total"]),
         ("repro_serve_connections_shed", "Connections shed by backpressure.", snapshot["connections_shed"]),

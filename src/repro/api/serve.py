@@ -13,11 +13,14 @@ Transports:
 * stdin/stdout (the default; also ``python -m repro.api.serve``);
 * a TCP socket (``--port``): one JSON-lines conversation per connection.
   Each connection gets its own lightweight :meth:`Session.view` (private
-  registries over one shared engine); engine-touching requests execute on
-  a bounded worker pool (``--workers``), while ``check`` requests whose
-  verdict is already in the shared digest-keyed verdict cache
-  (``--cache-dir``; see :mod:`repro.cache`) are answered on the
-  connection thread without queueing at all — the concurrency fast path.
+  registries over one shared engine) and its own thread.  ``check``
+  requests whose verdict is already in the shared digest-keyed verdict
+  cache (``--cache-dir``; see :mod:`repro.cache`) are answered without
+  running the engine — the concurrency fast path.
+
+Both transports share one execution path: an engine-touching request
+runs on the thread that read it, under the engine lock, or on a
+watchdog thread when a ``--timeout`` is set.
 
 Protocol::
 
@@ -28,11 +31,11 @@ Protocol::
 Request lines may be bare ``{"op": ...}`` objects or full
 ``repro/request`` documents (see :mod:`repro.api.requests`).  Three ops
 are built into the server itself: ``{"op": "health"}`` (liveness, uptime,
-in-flight/queue depth, drain status), ``{"op": "stats"}`` (request
+in-flight depth, drain status), ``{"op": "stats"}`` (request
 counters plus the engine's cumulative :class:`EngineStats`, including the
 resolved ``kernel_backend``) and ``{"op": "metrics"}`` (the full metrics
 document of :func:`repro.api.metrics.metrics_document`); all three bypass
-the dispatcher and the deadline so they answer even while the engine is
+the engine lock and the deadline so they answer even while the engine is
 busy.  With ``--metrics-port`` the same metrics are scrapeable over HTTP
 in the Prometheus text format.
 
@@ -45,11 +48,12 @@ Robustness (see ``docs/operations.md`` for the full operational story):
   structured log, not the client).
 * **Deadlines.**  With a ``--timeout``, each request runs under a
   watchdog; past the deadline the client gets ``deadline_exceeded`` and
-  the request is abandoned (its worker thread finishes in the
-  background).
+  the request is abandoned (its thread finishes in the background).  At
+  most ``--max-connections`` such requests may still be running; beyond
+  that, requests answer ``overloaded``.
 * **Bounded input.**  Request lines longer than ``--max-line-bytes``
-  answer ``request_too_large`` (the oversized line is discarded without
-  buffering it).
+  UTF-8 bytes answer ``request_too_large`` (the oversized line is
+  discarded without buffering it).
 * **Backpressure.**  At most ``--max-connections`` conversations run
   concurrently; beyond that, connections wait in a bounded admission
   queue and are shed with a one-line ``overloaded`` error once the queue
@@ -70,7 +74,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import queue
 import signal
 import sys
 import socketserver
@@ -96,7 +99,8 @@ from repro.util import faults
 #:                    unknown model/test name, malformed embedded docs
 #: request_too_large  request line exceeded ``max_line_bytes``
 #: deadline_exceeded  request ran past ``timeout`` and was abandoned
-#: overloaded         shed by the connection cap / admission queue
+#: overloaded         shed by the connection cap / admission queue, or
+#:                    too many requests still running past their deadline
 #: unavailable        server is draining and takes no new requests
 #: internal           unexpected exception (catch-all; traceback logged)
 #: ================== ==================================================
@@ -109,7 +113,7 @@ ERROR_CODES = (
     "internal",
 )
 
-#: Ops answered by the server itself, without touching the dispatcher.
+#: Ops answered by the server itself, without the engine lock.
 BUILTIN_OPS = ("health", "stats", "metrics")
 
 
@@ -165,7 +169,8 @@ class ServeConfig:
     timeout: Optional[float] = None
     #: maximum request line length in bytes
     max_line_bytes: int = 10 * 1024 * 1024
-    #: maximum concurrently-served connections
+    #: maximum concurrently-served connections; with a ``timeout``, also
+    #: the most requests that may still be running, abandoned ones included
     max_connections: int = 64
     #: connections allowed to wait for a slot before being shed
     admission_queue: int = 128
@@ -175,10 +180,6 @@ class ServeConfig:
     idle_timeout: Optional[float] = 300.0
     #: how long a drain waits for in-flight requests before giving up
     drain_grace: float = 30.0
-    #: engine-touching requests executing concurrently (the worker pool)
-    workers: int = 4
-    #: requests allowed to queue for a worker before being shed
-    queue_limit: int = 256
     #: directory for the persistent verdict-cache tier; None = memory only
     cache_dir: Optional[str] = None
     #: verdict-cache memory-tier entry cap
@@ -207,8 +208,6 @@ class ServeConfig:
             ),
             idle_timeout=_env_value("REPRO_SERVE_IDLE_TIMEOUT", float, cls.idle_timeout),
             drain_grace=_env_value("REPRO_SERVE_DRAIN_GRACE", float, cls.drain_grace),
-            workers=_env_value("REPRO_SERVE_WORKERS", int, cls.workers),
-            queue_limit=_env_value("REPRO_SERVE_QUEUE_LIMIT", int, cls.queue_limit),
             cache_dir=_env_value("REPRO_SERVE_CACHE_DIR", str, None),
             cache_capacity=_env_value("REPRO_SERVE_CACHE_CAPACITY", int, cls.cache_capacity),
             metrics_port=_env_value("REPRO_SERVE_METRICS_PORT", int, None),
@@ -242,9 +241,9 @@ class ServerState:
         self.reading = False
         #: per-op request counters and latency histograms
         self.metrics = ServeMetrics()
-        #: the worker pool, when the socket transport created one (its
-        #: queue depth feeds the snapshot/metrics gauges)
-        self.dispatcher: Optional["Dispatcher"] = None
+        #: one slot per request running under the deadline watchdog; an
+        #: abandoned request holds its slot until it really finishes
+        self.deadline_slots = threading.BoundedSemaphore(self.config.max_connections)
 
     # -- structured logging --------------------------------------------
     def log(self, event: str, **fields: object) -> None:
@@ -299,8 +298,6 @@ class ServerState:
         (tests, the metrics endpoint's scrape thread) reports the real
         depth instead of the old unconditional ``in_flight - 1`` hack.
         """
-        dispatcher = self.dispatcher
-        queue_depth = dispatcher.depth() if dispatcher is not None else 0
         with self.lock:
             in_flight = self.in_flight
             if exclude_self:
@@ -311,7 +308,6 @@ class ServerState:
                 "requests_ok": self.requests_ok,
                 "errors_by_code": dict(self.errors_by_code),
                 "in_flight": in_flight,
-                "queue_depth": queue_depth,
                 "connections_active": self.connections_active,
                 "connections_total": self.connections_total,
                 "connections_shed": self.connections_shed,
@@ -320,95 +316,11 @@ class ServerState:
 
 
 # ----------------------------------------------------------------------
-# the worker-pool dispatcher
-# ----------------------------------------------------------------------
-class _Job:
-    """One queued request: a thunk plus its completion event."""
-
-    __slots__ = ("fn", "done", "result", "error")
-
-    def __init__(self, fn: Callable[[], Any]) -> None:
-        self.fn = fn
-        self.done = threading.Event()
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            self.result = self.fn()
-        except BaseException as error:  # delivered to the waiting caller
-            self.error = error
-        finally:
-            self.done.set()
-
-    def wait(self, timeout: Optional[float]) -> bool:
-        """True when the job finished in time; re-raises what it raised.
-
-        On timeout the job is simply abandoned: the worker finishes it in
-        the background (any lock it needs is acquired inside ``fn``, so
-        an abandoned job cannot leak one to its waiter).
-        """
-        if not self.done.wait(timeout):
-            return False
-        if self.error is not None:
-            raise self.error
-        return True
-
-
-class Dispatcher:
-    """A bounded pool of worker threads executing engine-touching requests.
-
-    Connections enqueue jobs and wait (bounded by the per-request
-    deadline); the queue itself is bounded, so a flood of slow requests
-    sheds with ``overloaded`` instead of accumulating unbounded work.
-    Cache-hit ``check`` requests never come here — the serve fast path
-    answers them on the connection thread.
-    """
-
-    def __init__(self, workers: int = 4, queue_limit: int = 256) -> None:
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(maxsize=max(1, queue_limit))
-        self._threads = [
-            threading.Thread(target=self._loop, daemon=True, name=f"repro-serve-worker-{i}")
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def _loop(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                return
-            job.run()
-
-    def submit(self, fn: Callable[[], Any]) -> _Job:
-        """Enqueue a thunk; raises ``overloaded`` when the queue is full."""
-        job = _Job(fn)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            raise ServeError(
-                "overloaded", f"request queue is full ({self._queue.maxsize} waiting)"
-            )
-        return job
-
-    def depth(self) -> int:
-        """Jobs waiting for a worker (approximate, lock-free)."""
-        return self._queue.qsize()
-
-    def close(self) -> None:
-        """Stop the workers after the queue drains (used at shutdown)."""
-        for _ in self._threads:
-            self._queue.put(None)
-
-
-# ----------------------------------------------------------------------
 # request handling
 # ----------------------------------------------------------------------
-def _call_with_deadline(fn: Callable[[], Any], timeout: float) -> Tuple[bool, Any]:
+def _call_with_deadline(
+    fn: Callable[[], Any], timeout: float, slots: Optional[threading.BoundedSemaphore] = None
+) -> Tuple[bool, Any]:
     """Run ``fn`` on a watchdog-supervised thread.
 
     Returns ``(True, result)`` when it finished within ``timeout`` —
@@ -416,7 +328,13 @@ def _call_with_deadline(fn: Callable[[], Any], timeout: float) -> Tuple[bool, An
     passed and the request was abandoned (the thread keeps running to
     completion in the background; any lock it needs is acquired inside
     ``fn``, so an abandoned request releases the engine when it is done).
+
+    The thread holds one of ``slots`` until ``fn`` returns, abandoned or
+    not, so abandoned requests cannot pile up without bound: with every
+    slot taken the request answers ``overloaded`` instead of starting.
     """
+    if slots is not None and not slots.acquire(blocking=False):
+        raise ServeError("overloaded", "too many requests are still running past their deadline")
     box: Dict[str, Any] = {}
     done = threading.Event()
 
@@ -427,6 +345,8 @@ def _call_with_deadline(fn: Callable[[], Any], timeout: float) -> Tuple[bool, An
             box["error"] = error
         finally:
             done.set()
+            if slots is not None:
+                slots.release()
 
     thread = threading.Thread(target=target, daemon=True, name="repro-serve-request")
     thread.start()
@@ -450,16 +370,11 @@ def _builtin_result(
     if state is None:
         state = ServerState(ServeConfig(log_enabled=False))
     if op == "health":
-        dispatcher = state.dispatcher
-        with state.lock:
-            in_flight = state.in_flight
-        if counted:
-            in_flight = max(0, in_flight - 1)
+        server = state.snapshot(exclude_self=counted)
         return {
-            "status": "draining" if state.draining else "ok",
-            "uptime_seconds": round(state.uptime(), 3),
-            "in_flight": in_flight,
-            "queue_depth": dispatcher.depth() if dispatcher is not None else 0,
+            "status": "draining" if server["draining"] else "ok",
+            "uptime_seconds": server["uptime_seconds"],
+            "in_flight": server["in_flight"],
         }
     if op == "metrics":
         return metrics_document(state, session, exclude_self=counted)
@@ -479,9 +394,9 @@ def _fast_check(session: Session, document: Dict[str, Any]) -> Optional[Dict[str
     """Answer a warm ``check`` from the verdict cache, or None to fall through.
 
     This is the serve concurrency fast path: no request dataclass, no
-    dispatcher queue, no engine dispatch, no full stats snapshot — just
-    two registry dict hits, one cache lookup and one brief engine-lock
-    acquisition for the counters.  Only taken when it provably answers
+    engine dispatch, no full stats snapshot — just two registry dict hits,
+    one cache lookup and one brief engine-lock acquisition for the
+    counters.  Only taken when it provably answers
     exactly what the slow path would: a bare witness-less ``check`` of a
     registered test name against a registered model name whose
     ``(model digest, test digest)`` verdict is already cached.
@@ -547,19 +462,16 @@ def handle_request_line(
     line: str,
     state: Optional[ServerState] = None,
     config: Optional[ServeConfig] = None,
-    lock: Optional[threading.Lock] = None,
-    dispatcher: Optional[Dispatcher] = None,
     counted: bool = False,
     memo: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Answer one JSON request line; never raises on any input.
 
-    ``dispatcher`` routes engine-touching requests through the worker
-    pool; without one, ``lock`` serialises engine access when several
-    transports share one session (both are acquired *inside* the possibly
-    deadline-supervised request body so an abandoned request cannot leak
-    them).  ``counted`` tells builtin ops whether the caller already
-    counted this request in the in-flight gauge.
+    An engine-touching request runs on the calling thread, or under the
+    deadline watchdog when ``config.timeout`` is set; either way it
+    serialises on the engine lock (see :func:`_dispatch`).  ``counted``
+    tells builtin ops whether the caller already counted this request in
+    the in-flight gauge.
 
     ``memo`` is the connection-private response memo (L1 of the cache
     hierarchy, above the process verdict cache and its persistent tier):
@@ -592,7 +504,7 @@ def handle_request_line(
             raw_op = document.get("op")
             op = raw_op if isinstance(raw_op, str) else None
         if op in BUILTIN_OPS:
-            # Built-in ops bypass the dispatcher and the deadline so they
+            # Built-in ops bypass the engine lock and the deadline so they
             # answer even while the engine is wedged on a long request.
             preserve_memo = True  # read-only: cannot rebind registries
             response.update(
@@ -610,26 +522,14 @@ def handle_request_line(
                 return response
         request = request_from_json(document)
         op = request.op
-
-        def run() -> Tuple[Any, Any]:
-            faults.fire("serve.request", op=op)
-            if lock is not None:
-                with lock:
-                    return _dispatch(session, request)
-            return _dispatch(session, request)
-
-        if dispatcher is not None:
-            job = dispatcher.submit(run)
-            if not job.wait(config.timeout):
-                if state is not None:
-                    state.log("deadline_exceeded", op=op, timeout=config.timeout)
-                raise ServeError(
-                    "deadline_exceeded",
-                    f"request exceeded the {config.timeout:g}s deadline and was abandoned",
-                )
-            value = job.result
-        elif config.timeout is not None:
-            finished, value = _call_with_deadline(run, config.timeout)
+        if config.timeout is None:
+            result, stats_delta = _dispatch(session, request)
+        else:
+            finished, value = _call_with_deadline(
+                lambda: _dispatch(session, request),
+                config.timeout,
+                state.deadline_slots if state is not None else None,
+            )
             if not finished:
                 if state is not None:
                     state.log("deadline_exceeded", op=op, timeout=config.timeout)
@@ -637,9 +537,7 @@ def handle_request_line(
                     "deadline_exceeded",
                     f"request exceeded the {config.timeout:g}s deadline and was abandoned",
                 )
-        else:
-            value = run()
-        result, stats_delta = value
+            result, stats_delta = value
         response.update(
             {"ok": True, "op": op, "result": to_json(result), "stats": stats_delta.as_dict()}
         )
@@ -692,10 +590,13 @@ def handle_request_line(
 
 
 def _dispatch(session: Session, request: Any) -> Tuple[Any, Any]:
+    faults.fire("serve.request", op=request.op)
     # The engine lock is held across the whole dispatch so the
     # snapshot/since delta is exactly this request's work even when other
-    # workers run concurrently (the fast path never comes here — it
+    # connections run concurrently (the fast path never comes here — it
     # builds its own one-counter delta under a brief lock acquisition).
+    # It is taken inside the possibly deadline-supervised call, so an
+    # abandoned request releases it when it finishes.
     engine = session.engine
     with engine.lock:
         before = engine.stats.snapshot()
@@ -710,28 +611,37 @@ def _dispatch(session: Session, request: Any) -> Tuple[Any, Any]:
 OVERSIZED = object()
 
 
+def _too_large(line: str, max_len: int) -> bool:
+    """Whether ``line``, less its newline, exceeds ``max_len`` UTF-8 bytes."""
+    newline = line.endswith("\n")
+    # A character is at most 4 bytes, so short lines skip the encode.
+    if (len(line) - newline) * 4 <= max_len:
+        return False
+    return len(line.encode("utf-8")) - newline > max_len
+
+
 def _iter_limited_lines(stream: Any, max_len: int) -> Iterator[Union[str, object]]:
     """Yield request lines, or :data:`OVERSIZED` for over-limit lines.
 
-    Oversized lines are discarded chunk by chunk (never buffered whole),
-    so a hostile peer cannot make the server hold an arbitrarily large
-    line in memory.  Streams without ``readline`` (plain iterables, used
-    by some tests) are iterated directly with a post-hoc length check.
+    The limit is in UTF-8 bytes whether ``stream`` bounds its reads in
+    bytes (the socket reader) or in characters (text streams).  Oversized
+    lines are discarded chunk by chunk (never buffered whole), so a
+    hostile peer cannot make the server hold an arbitrarily large line in
+    memory.  Streams without ``readline`` (plain iterables, used by some
+    tests) are iterated directly with a post-hoc size check.
     """
     readline = getattr(stream, "readline", None)
     if readline is None:
         for line in stream:
-            yield OVERSIZED if len(line) > max_len + 1 else line
+            yield OVERSIZED if _too_large(line, max_len) else line
         return
     while True:
         line = stream.readline(max_len + 1)
         if not line:
             return
-        if len(line) > max_len and not line.endswith("\n"):
-            while True:  # discard the rest of the oversized line
-                rest = stream.readline(max_len + 1)
-                if not rest or rest.endswith("\n"):
-                    break
+        if _too_large(line, max_len):
+            while line and not line.endswith("\n"):  # discard the rest
+                line = stream.readline(max_len + 1)
             yield OVERSIZED
             continue
         yield line
@@ -741,16 +651,13 @@ def serve_stream(
     session: Session,
     input_stream: Any,
     output_stream: IO[str],
-    lock: Optional[threading.Lock] = None,
     state: Optional[ServerState] = None,
     config: Optional[ServeConfig] = None,
-    dispatcher: Optional[Dispatcher] = None,
 ) -> int:
     """Answer request lines from ``input_stream`` until end of input.
 
-    Returns the number of lines answered.  ``lock`` serialises engine
-    access when several transports share one session; with a ``state``
-    the loop also counts requests, honours the drain flag (stop after
+    Returns the number of lines answered.  With a ``state`` the loop also
+    counts requests, honours the drain flag (stop after
     the current response once draining), and enforces the configured
     line-length limit.
     """
@@ -764,6 +671,7 @@ def serve_stream(
     memo: Dict[str, Dict[str, Any]] = {}
     rendered: Dict[str, Tuple[Dict[str, Any], str]] = {}
     for line in _iter_limited_lines(input_stream, config.max_line_bytes):
+        response: Optional[Dict[str, Any]] = None
         if line is OVERSIZED:
             response = error_response(
                 "request_too_large",
@@ -774,24 +682,15 @@ def serve_stream(
             if not line:
                 continue
             if state is not None and state.draining:
+                # answered like any other line; the loop then stops below
                 response = error_response("unavailable", "server is draining")
-                if state is not None:
-                    state.begin_request()
-                try:
-                    output_stream.write(json.dumps(response) + "\n")
-                    output_stream.flush()
-                    answered += 1
-                finally:
-                    state.end_request(response)
-                break
-            response = None
         if state is not None:
             state.begin_request()
         try:
             if response is None:
                 response = handle_request_line(
-                    session, line, state=state, config=config, lock=lock,
-                    dispatcher=dispatcher, counted=state is not None, memo=memo,
+                    session, line, state=state, config=config,
+                    counted=state is not None, memo=memo,
                 )
             cached = rendered.get(line)
             if cached is not None and cached[0] is response:
@@ -922,16 +821,6 @@ class ServeServer(socketserver.ThreadingTCPServer):
         self.config = config
         self.state = state
         self.capacity = threading.Semaphore(config.max_connections)
-        #: engine-touching requests from every connection funnel through
-        #: this pool; cache-hit checks bypass it on the connection thread
-        self.dispatcher = Dispatcher(
-            workers=config.workers, queue_limit=config.queue_limit
-        )
-        state.dispatcher = self.dispatcher
-
-    def server_close(self) -> None:
-        self.dispatcher.close()
-        super().server_close()
 
 
 class _ConnectionHandler(socketserver.StreamRequestHandler):
@@ -967,7 +856,6 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
                 writer,
                 state=state,
                 config=config,
-                dispatcher=self.server.dispatcher,
             )
             writer.flush_hard()
         except TimeoutError:
@@ -1291,7 +1179,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "request_too_large (default: 10MiB; env REPRO_SERVE_MAX_LINE_BYTES)")
     parser.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
-        help="maximum concurrently-served connections "
+        help="maximum concurrently-served connections; with --timeout, also "
+        "the most requests that may still be running past their deadline "
         "(default: 64; env REPRO_SERVE_MAX_CONNECTIONS)")
     parser.add_argument(
         "--admission-queue", type=int, default=None, metavar="N",
@@ -1305,14 +1194,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--drain-grace", type=float, default=None, metavar="SECONDS",
         help="how long a SIGTERM/SIGINT drain waits for in-flight requests "
         "(default: 30; env REPRO_SERVE_DRAIN_GRACE)")
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="engine worker threads executing requests concurrently "
-        "(default: 4; env REPRO_SERVE_WORKERS)")
-    parser.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
-        help="requests allowed to queue for a worker before being shed with "
-        "an overloaded error (default: 256; env REPRO_SERVE_QUEUE_LIMIT)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist verdict-cache entries to DIR/verdicts.jsonl so warm "
@@ -1337,8 +1218,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         admission_queue=args.admission_queue,
         idle_timeout=args.idle_timeout,
         drain_grace=args.drain_grace,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
         cache_dir=args.cache_dir,
         cache_capacity=args.cache_capacity,
         metrics_port=args.metrics_port,

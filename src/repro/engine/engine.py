@@ -204,7 +204,7 @@ class CheckEngine:
             Verdicts are bit-identical with or without the cache.
 
     Thread safety: every stats/cache mutation happens under :attr:`lock`
-    (an ``RLock``), so concurrent callers — serve's worker pool — observe
+    (an ``RLock``), so concurrent callers — serve's connections — observe
     exact counters; a cache-hit :meth:`check` takes only the cache's own
     lock plus one brief :attr:`lock` acquisition for the counters.
     """
@@ -223,8 +223,8 @@ class CheckEngine:
         self.strategy: CheckStrategy = make_strategy(backend, kernel=kernel)
         #: the resolved kernel backend, when the strategy has one
         self.kernel = getattr(self.strategy, "kernel", None)
-        #: serialises stats/cache mutation; public so the serve dispatcher
-        #: can hold it across a whole request for exact stats attribution
+        #: serialises stats/cache mutation; public so serve can hold it
+        #: across a whole request for exact stats attribution
         self.lock = threading.RLock()
         self.verdict_cache = verdict_cache
         self._cacheable = self.strategy.name in _CACHEABLE_STRATEGIES

@@ -1,4 +1,4 @@
-"""Concurrency stress tests for the worker-pool serve loop.
+"""Concurrency stress tests for the socket serve loop.
 
 Threads × ops over one socket server: no lost or duplicated responses,
 per-request stats deltas that sum to the engine's total, verdicts
@@ -23,7 +23,6 @@ TESTS = ("A", "L1", "L2", "L3", "L5", "L7")
 
 
 def _quiet_config(**kwargs):
-    kwargs.setdefault("workers", 4)
     return ServeConfig(log_enabled=False, **kwargs)
 
 
@@ -214,7 +213,7 @@ def test_hypothesis_seeded_mixed_op_stress():
 
     session = Session()
     session.engine.verdict_cache = VerdictCache()
-    running = _RunningServer(session, _quiet_config(workers=3))
+    running = _RunningServer(session, _quiet_config())
     expected = _expected_verdicts([(t, m) for t in TESTS for m in MODELS])
 
     ops = st.lists(

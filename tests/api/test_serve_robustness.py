@@ -212,12 +212,14 @@ def test_abandoned_request_releases_the_shared_lock(session):
     """The engine lock is acquired inside the watchdog-run closure, so an
     abandoned request frees it when it finishes in the background."""
     faults.install("serve.request=delay:0.4*1")
-    lock = threading.Lock()
+    lock = session.engine.lock
     config = _quiet_config(timeout=0.1)
-    first = handle_request_line(session, CHECK_LINE, config=config, lock=lock)
+    first = handle_request_line(session, CHECK_LINE, config=config)
     assert first["error"]["code"] == "deadline_exceeded"
     time.sleep(0.6)  # let the abandoned thread finish and release
-    second = handle_request_line(session, CHECK_LINE, config=config, lock=lock)
+    assert lock.acquire(timeout=10)  # the abandoned request let it go
+    lock.release()
+    second = handle_request_line(session, CHECK_LINE, config=config)
     assert second["ok"] is True
 
 
@@ -266,11 +268,11 @@ def test_stats_op_counts_errors_by_code(session):
 
 def test_builtin_ops_bypass_the_deadline_and_lock(session):
     # A held lock (a wedged engine) must not block health checks.
-    lock = threading.Lock()
+    lock = session.engine.lock
     with lock:
         config = _quiet_config(timeout=0.2)
         response = handle_request_line(
-            session, '{"op": "health"}', config=config, lock=lock
+            session, '{"op": "health"}', config=config
         )
     assert response["ok"] is True
 
@@ -304,6 +306,90 @@ def test_socket_oversized_line_answers_request_too_large(session):
             second = json.loads(handle.readline())
         assert first["error"]["code"] == "request_too_large"
         assert second["ok"] is True
+    finally:
+        _stop_server(server, thread)
+
+
+def test_socket_oversized_non_ascii_line_is_one_request_too_large(session):
+    """The limit counts bytes: 222 two-byte characters (444 bytes) are one
+    oversized request, not two truncated ones, and the connection stays
+    in sync."""
+    config = _quiet_config(max_line_bytes=256)
+    server, thread, port = _start_server(session, config)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            handle = conn.makefile("rw", encoding="utf-8")
+            handle.write("é" * 222 + "\n")
+            handle.write(CHECK_LINE + "\n")
+            handle.flush()
+            first = json.loads(handle.readline())
+            second = json.loads(handle.readline())
+        assert first["error"]["code"] == "request_too_large"
+        assert second["ok"] is True
+    finally:
+        _stop_server(server, thread)
+
+
+def _ask(handle, line):
+    handle.write(line + "\n")
+    handle.flush()
+    return json.loads(handle.readline())
+
+
+def test_socket_deadline_exceeded_then_connection_keeps_serving():
+    faults.install("serve.request=delay:2*1")
+    server, thread, port = _start_server(Session(), _quiet_config(timeout=0.2))
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            handle = conn.makefile("rw", encoding="utf-8")
+            started = time.monotonic()
+            first = _ask(handle, CHECK_LINE)
+            assert time.monotonic() - started < 1.5  # did not wait out the delay
+            second = _ask(handle, CHECK_LINE)
+        assert first["error"]["code"] == "deadline_exceeded"
+        assert second["ok"] is True
+    finally:
+        _stop_server(server, thread)
+
+
+def test_abandoned_requests_beyond_the_cap_are_overloaded_until_they_finish():
+    """With --timeout, --max-connections also caps requests still running
+    past their deadline; the slot frees once the abandoned one finishes."""
+    faults.install("serve.request=delay:1*1")
+    config = _quiet_config(timeout=0.2, max_connections=1)
+    server, thread, port = _start_server(Session(), config)
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            handle = conn.makefile("rw", encoding="utf-8")
+            abandoned = _ask(handle, CHECK_LINE)
+            shed = _ask(handle, CHECK_LINE)
+            time.sleep(1.5)  # the abandoned request finishes and frees its slot
+            freed = _ask(handle, CHECK_LINE)
+        assert abandoned["error"]["code"] == "deadline_exceeded"
+        assert shed["error"]["code"] == "overloaded"
+        assert freed["ok"] is True
+    finally:
+        _stop_server(server, thread)
+
+
+SERVER_GAUGES = {
+    "uptime_seconds", "requests_total", "requests_ok", "errors_by_code", "in_flight",
+    "connections_active", "connections_total", "connections_shed", "draining",
+}
+
+
+def test_builtin_results_report_only_live_gauges(session):
+    """No dispatch-backlog gauge survives in health, stats or metrics."""
+    server, thread, port = _start_server(session, _quiet_config())
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            handle = conn.makefile("rw", encoding="utf-8")
+            health, stats, metrics = (
+                _ask(handle, json.dumps({"op": op})) for op in ("health", "stats", "metrics")
+            )
+        assert set(health["result"]) == {"status", "uptime_seconds", "in_flight"}
+        assert set(stats["result"]["server"]) == SERVER_GAUGES
+        assert set(metrics["result"]["server"]) == SERVER_GAUGES
     finally:
         _stop_server(server, thread)
 

@@ -7,6 +7,7 @@ gate fail.
 """
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ BENCHMARKS_DIR = Path(__file__).parent.parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS_DIR))
 
 import check_regression  # noqa: E402  (needs the path tweak above)
+import update_baseline  # noqa: E402
 
 
 def write_baseline(path, medians):
@@ -134,3 +136,11 @@ def test_committed_baseline_is_loadable_and_nonempty():
 
 def test_unreadable_inputs_are_a_usage_error(tmp_path):
     assert check_regression.main([str(tmp_path / "nope.json")]) == 2
+
+
+def test_ci_benchmark_smoke_runs_the_baselined_modules():
+    """CI must run exactly the subset the baseline is refreshed from, or the
+    gate reports the missing modules' entries as regressions."""
+    workflow = (BENCHMARKS_DIR.parent / ".github" / "workflows" / "ci.yml").read_text()
+    step = workflow.split("- name: Benchmark smoke", 1)[1].split("- name:", 1)[0]
+    assert re.findall(r"benchmarks/bench_\w+\.py", step) == list(update_baseline.BENCH_MODULES)
