@@ -14,7 +14,6 @@ import pytest
 
 from repro.checker.sat_checker import SatChecker
 from repro.engine import CheckEngine
-from repro.engine.strategies import LegacyCheckerStrategy
 from repro.generation.named_tests import L_TESTS, TEST_A
 
 ALL_TESTS = [TEST_A] + list(L_TESTS)
@@ -48,10 +47,17 @@ def test_engine_incremental_sat_matrix(benchmark, models_36, expected_matrix):
 @pytest.mark.benchmark(group="engine-modes")
 def test_legacy_per_check_sat_matrix(benchmark, models_36, expected_matrix):
     """The seed's behaviour: fresh CNF + fresh solver per (model, test)."""
+    executions = [test.execution() for test in ALL_TESTS]
 
     def run():
-        engine = CheckEngine(LegacyCheckerStrategy(SatChecker()))
-        return engine.verdict_matrix(models_36, ALL_TESTS)
+        checker = SatChecker()
+        return {
+            model.name: tuple(
+                checker.check_execution(execution, model).allowed
+                for execution in executions
+            )
+            for model in models_36
+        }
 
     matrix = benchmark.pedantic(run, rounds=3, iterations=1)
     assert matrix == expected_matrix

@@ -1,10 +1,10 @@
-"""Kernel-backend micro-benchmarks: bigint vs word-array vs C extension.
+"""Kernel-backend micro-benchmarks: the bigint reference vs the C extension.
 
 The native layer (:mod:`repro.native`) reimplements the three hot loops of
 the explicit checker — incremental reachability, mask-program evaluation,
-and the full backtracking search — over fixed-width word arrays, with a C
+and the full backtracking search — over fixed-width word arrays in a C
 extension behind the same :class:`~repro.native.backend.KernelBackend`
-interface.  This module measures each loop per backend, records the backend
+interface as the bigint kernel.  This module measures each loop per backend, records the backend
 name in ``extra_info``, and asserts bit-identical results along the way, so
 the perf gate sees kernel-level regressions separately from engine-level
 ones.
@@ -23,12 +23,11 @@ from repro.compile import compile_model
 from repro.engine import CheckEngine
 from repro.generation.named_tests import L_TESTS, TEST_A
 from repro.native.backend import native_available, resolve_kernel
-from repro.native.words import WordReachability
 
 ALL_TESTS = [TEST_A] + list(L_TESTS)
 
 #: (name, kernel) for every backend available in this environment.
-KERNELS = [("bigint", resolve_kernel("bigint")), ("python", resolve_kernel("python"))]
+KERNELS = [("bigint", resolve_kernel("bigint"))]
 if native_available():
     KERNELS.append(("native", resolve_kernel("native")))
 
@@ -53,18 +52,6 @@ def test_reachability_add_undo(benchmark, backend):
 
         def run():
             kernel = ReachabilityKernel(n)
-            inserted = 0
-            for u, v in edges:
-                mark = kernel.mark()
-                if kernel.add_edge(u, v):
-                    inserted += 1
-                    kernel.undo_to(mark)
-            return inserted
-
-    elif backend == "python":
-
-        def run():
-            kernel = WordReachability(n)
             inserted = 0
             for u, v in edges:
                 mark = kernel.mark()

@@ -56,7 +56,7 @@ def test_backend_sat_model_comparison_runs_in_seconds(benchmark, suite_without_d
     tests = suite_without_dependencies.tests()
 
     def compare():
-        comparator = ModelComparator(tests, checker=SatChecker())
+        comparator = ModelComparator(tests, "sat")
         return comparator.compare(TSO, IBM370)
 
     result = benchmark.pedantic(compare, rounds=1, iterations=1)

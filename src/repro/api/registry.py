@@ -1,9 +1,8 @@
 """Model and test registries: the one place names are resolved.
 
-:class:`ModelRegistry` folds the previously duplicated resolution logic
-(``cli.resolve_model`` on one side, ``core.catalog.named_models`` on the
-other) into a single object that also accepts user-registered models.  A
-spec resolves, in order, to
+:class:`ModelRegistry` is the single resolver for model specs, built on
+``core.catalog.named_models`` and also accepting user-registered models.
+A spec resolves, in order, to
 
 1. a live :class:`~repro.core.model.MemoryModel`;
 2. a serialized ``repro/model`` document (so ``serve`` clients can send

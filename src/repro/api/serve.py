@@ -403,7 +403,7 @@ def _fast_check(session: Session, document: Dict[str, Any]) -> Optional[Dict[str
     """
     engine = session.engine
     vcache = engine.verdict_cache
-    if vcache is None or not engine._cacheable or faults._FAULTS:
+    if vcache is None or faults._FAULTS:
         return None
     if document.get("witness") or not _FAST_CHECK_KEYS.issuperset(document):
         return None

@@ -84,8 +84,8 @@ class Session:
             ``"sat"``), ignored when ``engine`` is given.
         jobs: worker processes for verdict matrices, ignored when ``engine``
             is given.
-        kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``,
-            ``"python"`` or ``"bigint"`` — see :mod:`repro.native.backend`),
+        kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``
+            or ``"bigint"`` — see :mod:`repro.native.backend`),
             ignored when ``engine`` is given.
         engine: a ready-made engine to adopt (shared with other callers).
         models: a model registry to adopt; a fresh catalog-backed one by

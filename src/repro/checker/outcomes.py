@@ -178,7 +178,7 @@ def allowed_outcomes(
 ) -> List[Dict[str, int]]:
     """Return the register outcomes ``model`` allows for ``program``.
 
-    ``checker`` is a backend name, a legacy checker object, or a
+    ``checker`` is a backend name, a strategy instance, or a
     :class:`~repro.engine.engine.CheckEngine` to share; explicit enumeration
     by default.  Each element maps load destination registers to observed
     values, in a stable order (sorted by register name within sorted outcome

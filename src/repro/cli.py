@@ -37,7 +37,7 @@ session's :class:`~repro.api.registry.ModelRegistry`; ``--model-file FILE``
 (repeatable, any subcommand) registers the models of ``.model`` files up
 front so later ``--model NAME`` arguments can refer to them.  ``--backend``
 selects the admissibility strategy, ``--kernel`` the explicit backend's
-checking kernel (``auto``/``native``/``python``/``bigint`` — see
+checking kernel (``auto``/``native``/``bigint`` — see
 :mod:`repro.native.backend`), and ``--jobs`` fans the exploration out over
 worker processes.
 """
@@ -47,7 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from repro.api.registry import UnknownModelError, UnknownTestError
@@ -56,28 +55,7 @@ from repro.api.requests import CheckRequest, CompareRequest, ExploreRequest, Out
 from repro.api.serialize import to_json
 from repro.api.session import Session
 from repro.comparison.report import exploration_report, hasse_dot
-from repro.core.model import MemoryModel
 from repro.core.parametric import KNOWN_CORRESPONDENCES
-
-
-def resolve_model(name: str) -> MemoryModel:
-    """Resolve a model name: catalog name or parametric ``Mxxxx`` name.
-
-    .. deprecated:: use :meth:`repro.api.registry.ModelRegistry.resolve`,
-       which this wrapper delegates to (converting unknown-model errors to
-       ``SystemExit`` for historical CLI behaviour).
-    """
-    warnings.warn(
-        "cli.resolve_model is deprecated; use repro.api.ModelRegistry.resolve",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api.registry import ModelRegistry
-
-    try:
-        return ModelRegistry().resolve(name)
-    except UnknownModelError as error:
-        raise SystemExit(str(error))
 
 
 def _make_session(args: argparse.Namespace) -> Session:
@@ -395,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_CHOICES,
         default=None,
         help="explicit-backend checking kernel: 'native' is the C extension, "
-        "'python' the word-array port, 'bigint' the original; 'auto' (the "
-        "default, also via REPRO_KERNEL) prefers native when built",
+        "'bigint' the pure-Python reference; 'auto' (the default, also via "
+        "REPRO_KERNEL) prefers native when built and falls back to bigint",
     )
     parser.add_argument(
         "--model-file",

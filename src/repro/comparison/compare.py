@@ -12,7 +12,6 @@ when it allows more.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -23,8 +22,7 @@ from repro.engine.engine import CheckEngine
 
 #: What the comparison entry points accept as an admissibility backend: a
 #: ready-made engine to share, or a backend name (``"explicit"``,
-#: ``"enumeration"``, ``"sat"``).  Raw checker objects are still accepted
-#: for backwards compatibility but deprecated.
+#: ``"enumeration"``, ``"sat"``).
 EngineSpec = Union[CheckEngine, str]
 
 #: A verdict vector: one boolean (allowed?) per test, in suite order.
@@ -109,36 +107,12 @@ class ModelComparator:
         engine: the admissibility backend — a ready-made
             :class:`~repro.engine.engine.CheckEngine` to share, or a backend
             name (``"explicit"``, ``"enumeration"``, ``"sat"``).  The
-            explicit backend by default.  Passing a raw checker object (the
-            pre-engine calling convention) still works but emits a
-            :class:`DeprecationWarning`, as does the old ``checker=``
-            keyword.
+            explicit backend by default.
     """
 
     def __init__(
-        self,
-        tests: Sequence[LitmusTest],
-        engine: Optional[EngineSpec] = None,
-        *,
-        checker: Optional[object] = None,
+        self, tests: Sequence[LitmusTest], engine: Optional[EngineSpec] = None
     ) -> None:
-        if checker is not None:
-            if engine is not None:
-                raise TypeError("pass either engine= or the deprecated checker=, not both")
-            warnings.warn(
-                "ModelComparator(checker=...) is deprecated; pass engine= "
-                "(a CheckEngine or a backend name)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = checker  # type: ignore[assignment]
-        if engine is not None and not isinstance(engine, (CheckEngine, str)):
-            warnings.warn(
-                "passing a raw checker object to ModelComparator is deprecated; "
-                "pass a CheckEngine or a backend name",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.tests: List[LitmusTest] = list(tests)
         self.engine = CheckEngine.ensure(engine)
         self._vectors: Dict[str, VerdictVector] = {}
@@ -202,14 +176,9 @@ def verdict_vector(
     model: MemoryModel,
     tests: Sequence[LitmusTest],
     engine: Optional[EngineSpec] = None,
-    *,
-    checker: Optional[object] = None,
 ) -> VerdictVector:
-    """Convenience wrapper around :meth:`ModelComparator.verdict_vector`.
-
-    ``checker=`` is the deprecated spelling of ``engine=``.
-    """
-    return ModelComparator(tests, engine, checker=checker).verdict_vector(model)
+    """Convenience wrapper around :meth:`ModelComparator.verdict_vector`."""
+    return ModelComparator(tests, engine).verdict_vector(model)
 
 
 def compare_models(
@@ -217,11 +186,6 @@ def compare_models(
     second: MemoryModel,
     tests: Sequence[LitmusTest],
     engine: Optional[EngineSpec] = None,
-    *,
-    checker: Optional[object] = None,
 ) -> ComparisonResult:
-    """Convenience wrapper around :meth:`ModelComparator.compare`.
-
-    ``checker=`` is the deprecated spelling of ``engine=``.
-    """
-    return ModelComparator(tests, engine, checker=checker).compare(first, second)
+    """Convenience wrapper around :meth:`ModelComparator.compare`."""
+    return ModelComparator(tests, engine).compare(first, second)

@@ -165,8 +165,8 @@ def explore_models(
     Args:
         models: the family to explore (e.g. the 36- or 90-model space).
         tests: the comparison suite (e.g. the template suite).
-        checker: admissibility backend — a backend name, a legacy checker
-            object, or a shared :class:`~repro.engine.engine.CheckEngine`;
+        checker: admissibility backend — a backend name, a strategy
+            instance, or a shared :class:`~repro.engine.engine.CheckEngine`;
             explicit enumeration by default.
         preferred_tests: tests whose names should be preferred when labelling
             Hasse edges (the paper uses L1..L9).  They are appended to the

@@ -11,8 +11,8 @@ outcome-enumeration and CLI layers use to compute verdicts:
 * :class:`~repro.engine.context.TestContext` — the per-test
   model-independent caches (execution, candidate spaces, CNF skeleton,
   persistent solver);
-* :mod:`repro.engine.strategies` — the explicit / incremental-SAT / legacy
-  checking strategies beneath the engine.
+* :mod:`repro.engine.strategies` — the explicit / enumeration /
+  incremental-SAT checking strategies beneath the engine.
 """
 
 from repro.engine.context import TestContext
@@ -22,7 +22,6 @@ from repro.engine.strategies import (
     EnumerationStrategy,
     ExplicitStrategy,
     IncrementalSatStrategy,
-    LegacyCheckerStrategy,
     make_strategy,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "EnumerationStrategy",
     "ExplicitStrategy",
     "IncrementalSatStrategy",
-    "LegacyCheckerStrategy",
     "make_strategy",
 ]

@@ -74,12 +74,12 @@ class EngineStats:
     #: IR DAG nodes shared with previously compiled models — the
     #: cross-model common-subexpression metric
     ir_cse_hits: int = 0
-    #: resolved kernel backend name ("native", "python", "bigint"; empty for
+    #: resolved kernel backend name ("native" or "bigint"; empty for
     #: strategies that have no kernel, e.g. SAT and enumeration)
     kernel_backend: str = ""
     #: kernel searches answered by the C extension
     native_searches: int = 0
-    #: kernel searches answered by a Python kernel (bigint or word-array)
+    #: kernel searches answered by the Python-int bigint kernel
     fallback_searches: int = 0
     #: synthesis queries answered (one per SynthesisEngine.synthesize call)
     synth_runs: int = 0
@@ -176,32 +176,28 @@ class EngineStats:
 
 _STAT_FIELDS = tuple(field.name for field in fields(EngineStats))
 
-#: Strategy names whose verdicts the digest-keyed cache may serve.  All
-#: shipped strategies are pure functions of (model IR, canonical test), so
-#: their verdicts agree; legacy checker wrappers are excluded because their
-#: semantics are whatever the wrapped object does.
-_CACHEABLE_STRATEGIES = frozenset(("explicit", "enumeration", "sat"))
-
 
 class CheckEngine:
     """Single entry point for batched admissibility checking.
 
     Args:
-        backend: ``"explicit"`` (default), ``"sat"``, a strategy instance, or
-            a legacy checker object (``ExplicitChecker``, ``SatChecker``,
-            ``ReferenceChecker``, ...).
+        backend: ``"explicit"`` (default), ``"enumeration"``, ``"sat"``, or
+            an instance of one of those strategies (see
+            :func:`~repro.engine.strategies.make_strategy`); a standalone
+            checker object raises ``TypeError``.
         jobs: number of worker processes for :meth:`verdict_matrix`; ``1``
             computes serially in-process.
         kernel: kernel backend for the explicit strategy — ``"auto"``
             (default; consults ``REPRO_KERNEL`` and prefers the C extension
-            when built), ``"native"``, ``"python"``, ``"bigint"``, or a
+            when built), ``"native"``, ``"bigint"``, or a
             :class:`~repro.native.backend.KernelBackend` instance.  Resolved
             once, at construction; ignored by non-kernel backends.
         verdict_cache: optional :class:`~repro.cache.verdict.VerdictCache`
             interposed in :meth:`check`/:meth:`check_column`: cacheable
             (formula model, canonicalizable test) pairs are answered from
             the cache when warm and stored after computing otherwise.
-            Verdicts are bit-identical with or without the cache.
+            Every strategy is a pure function of (model IR, canonical
+            test), so verdicts are bit-identical with or without the cache.
 
     Thread safety: every stats/cache mutation happens under :attr:`lock`
     (an ``RLock``), so concurrent callers — serve's connections — observe
@@ -227,7 +223,6 @@ class CheckEngine:
         #: across a whole request for exact stats attribution
         self.lock = threading.RLock()
         self.verdict_cache = verdict_cache
-        self._cacheable = self.strategy.name in _CACHEABLE_STRATEGIES
         self.stats = EngineStats()
         if self.kernel is not None:
             self.stats.kernel_backend = self.kernel.name
@@ -253,7 +248,12 @@ class CheckEngine:
     def ensure(
         cls, checker: Optional[object] = None, jobs: int = 1, kernel: object = None
     ) -> "CheckEngine":
-        """Return ``checker`` if it already is an engine, else wrap it."""
+        """Return ``checker`` if it already is an engine, else build one.
+
+        ``checker`` is an engine, a backend name or strategy instance (see
+        :func:`~repro.engine.strategies.make_strategy`), or None for the
+        explicit backend.
+        """
         if isinstance(checker, CheckEngine):
             return checker
         return cls(
@@ -366,7 +366,7 @@ class CheckEngine:
             faults.fire("engine.check", test=test.name, model=model.name)
         vcache = self.verdict_cache
         key = None
-        if vcache is not None and self._cacheable:
+        if vcache is not None:
             key = vcache.key_for(test, model)
             if key is not None:
                 verdict = vcache.get(key)
@@ -451,7 +451,7 @@ class CheckEngine:
             faults.fire("engine.check_column", test=test.name)
         vcache = self.verdict_cache
         keys: Optional[List[Optional[Tuple[str, str]]]] = None
-        if vcache is not None and self._cacheable:
+        if vcache is not None:
             test_digest = vcache.test_digest(test)
             if test_digest is not None:
                 keys = []

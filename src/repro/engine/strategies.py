@@ -16,11 +16,12 @@ model-independent caches:
 * :class:`IncrementalSatStrategy` — the SAT semantics of
   :class:`~repro.checker.sat_checker.SatChecker`, but answering every model
   with one persistent incremental solver over the shared CNF skeleton via
-  ``solve(assumptions=...)``, so learned clauses carry over between models;
-* :class:`LegacyCheckerStrategy` — adapter for any object with the classic
-  ``check(test, model)`` interface (e.g. the brute-force
-  :class:`~repro.checker.reference.ReferenceChecker`), still benefiting
-  from the cached execution when the checker exposes ``check_execution``.
+  ``solve(assumptions=...)``, so learned clauses carry over between models.
+
+The standalone checkers of :mod:`repro.checker` (``ExplicitChecker``,
+``SatChecker``, the brute-force ``ReferenceChecker``...) answer one
+``check(test, model)`` at a time and are used directly, never wrapped in
+an engine.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ class ExplicitStrategy:
     """Pruned backtracking over the context's bitset-indexed execution.
 
     The search and the mask-program evaluation run on a pluggable
-    :class:`~repro.native.backend.KernelBackend` — the C extension, the
-    pure-Python word-array port, or the original bigint kernel — resolved
-    once at construction (see :func:`repro.native.backend.resolve_kernel`
-    for the ``auto``/``REPRO_KERNEL`` selection order).  All backends are
+    :class:`~repro.native.backend.KernelBackend` — the C extension or the
+    original bigint kernel — resolved once at construction (see
+    :func:`repro.native.backend.resolve_kernel` for the
+    ``auto``/``REPRO_KERNEL`` selection order).  Both backends are
     bit-identical; only speed and the native/fallback counters differ.
     """
 
@@ -233,37 +234,16 @@ class IncrementalSatStrategy:
         return solver.solve(assumptions).satisfiable
 
 
-class LegacyCheckerStrategy:
-    """Adapter around a classic ``check(test, model)`` backend object."""
-
-    def __init__(self, checker: object) -> None:
-        self.checker = checker
-        self.name = getattr(checker, "name", type(checker).__name__)
-
-    def check(self, context: TestContext, model: ModelLike, stats: "EngineStats") -> bool:
-        model = as_compiled(model).model  # legacy checkers take the raw model
-        check_execution = getattr(self.checker, "check_execution", None)
-        if context.execution is not None and callable(check_execution):
-            result = check_execution(context.execution, model, test_name=context.test.name)
-        else:
-            result = self.checker.check(context.test, model)
-        return bool(result.allowed)
-
-
 def make_strategy(backend: object, kernel: object = None) -> CheckStrategy:
     """Resolve a backend specification into a strategy.
 
-    ``backend`` is either a strategy name (``"explicit"``, ``"enumeration"``
-    or ``"sat"``), an existing strategy instance, or a legacy checker object
-    exposing ``check(test, model)``.  ``kernel`` selects the explicit
-    strategy's kernel backend (see :mod:`repro.native.backend`); strategy
-    instances keep the kernel they were built with, and non-kernel
-    strategies ignore it.
+    ``backend`` is a strategy name (``"explicit"``, ``"enumeration"`` or
+    ``"sat"``) or an instance of one of those three strategies; anything
+    else — a standalone checker object included — raises ``TypeError``.
+    ``kernel`` selects the explicit strategy's kernel backend (see
+    :mod:`repro.native.backend`); strategy instances keep the kernel they
+    were built with, and non-kernel strategies ignore it.
     """
-    from repro.checker.explicit import ExplicitChecker
-    from repro.checker.reference import EnumerationChecker
-    from repro.checker.sat_checker import SatChecker
-
     if isinstance(backend, str):
         if backend == "explicit":
             return ExplicitStrategy(kernel=kernel)
@@ -275,19 +255,10 @@ def make_strategy(backend: object, kernel: object = None) -> CheckStrategy:
             f"unknown engine backend {backend!r} "
             "(expected 'explicit', 'enumeration' or 'sat')"
         )
-    if isinstance(
-        backend,
-        (ExplicitStrategy, EnumerationStrategy, IncrementalSatStrategy, LegacyCheckerStrategy),
-    ):
+    if isinstance(backend, (ExplicitStrategy, EnumerationStrategy, IncrementalSatStrategy)):
         return backend
-    # The classic backends become the engine's native strategies.  A
-    # preprocessing-enabled SatChecker keeps its own per-check pipeline.
-    if isinstance(backend, ExplicitChecker):
-        return ExplicitStrategy(kernel=kernel if kernel is not None else backend.kernel)
-    if isinstance(backend, EnumerationChecker):
-        return EnumerationStrategy()
-    if isinstance(backend, SatChecker) and not backend.use_preprocessing:
-        return IncrementalSatStrategy()
-    if hasattr(backend, "check"):
-        return LegacyCheckerStrategy(backend)
-    raise TypeError(f"cannot build a checking strategy from {backend!r}")
+    raise TypeError(
+        f"cannot build a checking strategy from {backend!r}: expected a backend "
+        "name ('explicit', 'enumeration' or 'sat') or an ExplicitStrategy, "
+        "EnumerationStrategy or IncrementalSatStrategy instance"
+    )

@@ -3,11 +3,11 @@
 This package lowers the hot loop of the explicit checker — the
 decide/propagate/undo search of :mod:`repro.checker.kernel` and the
 bitmask-program evaluation of :mod:`repro.compile.lower_masks` — from
-unbounded Python ints to fixed-width arrays of 64-bit words, behind one
-:class:`~repro.native.backend.KernelBackend` interface with three
-implementations: the original ``bigint`` reference, a pure-Python
-word-array port (``python``), and a C extension fast path (``native``,
-:mod:`repro.native._kernelmod`, built optionally by ``setup.py``).
+unbounded Python ints to fixed-width arrays of 64-bit words in a C
+extension (``native``, :mod:`repro.native._kernelmod`, built optionally by
+``setup.py``), behind one :class:`~repro.native.backend.KernelBackend`
+interface whose other implementation is the original ``bigint`` kernel:
+the semantic reference and the fallback when the extension is not built.
 
 See ``docs/architecture.md`` ("Kernel backends") for the word layout,
 the selection order and the build-fallback semantics.
@@ -19,13 +19,11 @@ from repro.native.backend import (
     BigintKernelBackend,
     KernelBackend,
     NativeKernelBackend,
-    WordKernelBackend,
     native_available,
     native_import_error,
     resolve_kernel,
 )
-from repro.native.problem import KernelProblem, kernel_problem
-from repro.native.words import WORD_BITS, WordReachability, word_count
+from repro.native.problem import WORD_BITS, KernelProblem, kernel_problem, word_count
 
 __all__ = [
     "KERNEL_CHOICES",
@@ -34,8 +32,6 @@ __all__ = [
     "KernelBackend",
     "KernelProblem",
     "NativeKernelBackend",
-    "WordKernelBackend",
-    "WordReachability",
     "WORD_BITS",
     "kernel_problem",
     "native_available",

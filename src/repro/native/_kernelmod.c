@@ -1,8 +1,11 @@
 /* Word-array native checking kernel.
  *
- * C fast path for the explicit checker's hot loop, mirroring the
- * pure-Python word-array reference (repro/native/wordsearch.py and
- * repro/native/flatprog.py) instruction for instruction:
+ * C fast path for the explicit checker's hot loop.  The search mirrors the
+ * bigint reference kernel (KernelSearch and ReachabilityKernel in
+ * repro/checker/kernel.py) decision for decision, and the mask evaluator
+ * runs the repro/native/flatprog.py encoding.  The differential suite
+ * (tests/native/test_kernel_differential.py) holds both bit-identical to
+ * the bigint kernel, across the 64-bit word boundaries too:
  *
  *   Problem        -- one execution's flattened search problem, built from
  *                     repro.native.problem.KernelProblem: the decision
@@ -14,7 +17,7 @@
  *                     anti-program-order pruning.  Returns the first
  *                     witness found (rf sources + chosen coherence order
  *                     index per slot) or None -- iteration order matches
- *                     the Python kernels exactly, so witnesses are
+ *                     the bigint kernel exactly, so witnesses are
  *                     bit-identical across backends.
  *   Problem.eval_program -- evaluates a flattened ModelIR mask program
  *                     (repro.native.flatprog encoding) over the po-pair

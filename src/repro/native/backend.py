@@ -4,17 +4,16 @@ A :class:`KernelBackend` answers the two kernel-level questions the explicit
 strategy asks: run the decide/propagate/undo search for one po-edge set
 (:meth:`~KernelBackend.search`, returning the witness or None), and
 evaluate a compiled model's po-pair mask over an execution
-(:meth:`~KernelBackend.po_pair_mask`).  Three implementations:
+(:meth:`~KernelBackend.po_pair_mask`).  Two implementations:
 
 * ``bigint`` — the original Python-int kernel of
   :mod:`repro.checker.kernel` and the closure lowering of
-  :mod:`repro.compile.lower_masks`; the semantic reference.
-* ``python`` — the pure-Python word-array port
-  (:mod:`repro.native.wordsearch` / :mod:`repro.native.flatprog`): same
-  fixed-width data layout as the C code, no C.  Slower than ``bigint`` —
-  it exists as the executable specification of the native layout and the
-  differential oracle, not as a fast path.
-* ``native`` — the C extension :mod:`repro.native._kernelmod`, when built.
+  :mod:`repro.compile.lower_masks`; the semantic reference, and the
+  fallback when the C extension is not built.
+* ``native`` — the C extension :mod:`repro.native._kernelmod` over
+  fixed-width word arrays (:mod:`repro.native.problem` /
+  :mod:`repro.native.flatprog`), when built; the fast path.  The
+  differential suite holds it bit-identical to ``bigint``.
 
 Selection (:func:`resolve_kernel`) resolves, in order: an explicit
 backend instance > an explicit name > the ``REPRO_KERNEL`` environment
@@ -33,21 +32,14 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.checker.kernel import IndexedExecution, KernelSearch, KernelWitness
-from repro.native.flatprog import (
-    evaluate_words,
-    evaluate_words_multi,
-    flat_program,
-    flat_program_multi,
-    positive_atom_mask,
-)
+from repro.native.flatprog import flat_program, flat_program_multi
 from repro.native.problem import kernel_problem
-from repro.native.wordsearch import word_search
 
 #: Environment variable consulted by ``auto`` kernel resolution.
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Accepted --kernel / CheckEngine(kernel=...) / REPRO_KERNEL spellings.
-KERNEL_CHOICES = ("auto", "native", "python", "bigint")
+KERNEL_CHOICES = ("auto", "native", "bigint")
 
 _NATIVE_IMPORT_ERROR: Optional[str] = None
 _NATIVE_CHECKED = False
@@ -97,9 +89,9 @@ class KernelBackend:
     def po_pair_masks(self, indexed: IndexedExecution, compiled_list) -> List[int]:
         """Evaluate a whole model column's truth vectors in one pass.
 
-        The word-array backends flatten the column to one combined program
+        The native backend flattens the column to one combined program
         (registers shared across models through the hash-consed node ids)
-        and evaluate it once; the base implementation just loops.  Always
+        and evaluates it once; the base implementation just loops.  Always
         bit-identical to per-model :meth:`po_pair_mask` calls.
         """
         return [self.po_pair_mask(indexed, compiled) for compiled in compiled_list]
@@ -115,27 +107,6 @@ class BigintKernelBackend(KernelBackend):
 
     def po_pair_mask(self, indexed, compiled) -> int:
         return compiled.mask_program(indexed)
-
-
-class WordKernelBackend(KernelBackend):
-    """Pure-Python word arrays: the C layout without the C."""
-
-    name = "python"
-
-    def search(self, indexed, po_edges):
-        return word_search(kernel_problem(indexed), po_edges)
-
-    def po_pair_mask(self, indexed, compiled) -> int:
-        program = flat_program(compiled.root)
-        atom_masks = [positive_atom_mask(indexed, node) for node in program.atoms]
-        return evaluate_words(program, indexed, atom_masks)
-
-    def po_pair_masks(self, indexed, compiled_list):
-        if not compiled_list:
-            return []
-        program = flat_program_multi([compiled.root for compiled in compiled_list])
-        atom_masks = [positive_atom_mask(indexed, node) for node in program.atoms]
-        return evaluate_words_multi(program, indexed, atom_masks)
 
 
 class NativeKernelBackend(KernelBackend):
@@ -180,10 +151,9 @@ class NativeKernelBackend(KernelBackend):
 
 
 _BIGINT = BigintKernelBackend()
-_WORD = WordKernelBackend()
 _NATIVE = NativeKernelBackend()
 
-_BY_NAME = {"bigint": _BIGINT, "python": _WORD, "native": _NATIVE}
+_BY_NAME = {"bigint": _BIGINT, "native": _NATIVE}
 
 
 def resolve_kernel(spec: object = None) -> KernelBackend:

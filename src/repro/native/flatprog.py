@@ -2,10 +2,10 @@
 
 The bigint lowering (:mod:`repro.compile.lower_masks`) evaluates a model's
 IR as a tree of Python closures over int bitmasks.  The native layer needs
-the same program in a form a C loop (or a dumb Python loop over word
-arrays) can execute: a linear instruction stream where instruction ``i``
-writes register ``i``, children come before parents, and atoms are indices
-into a table of precomputed truth-vector buffers.
+the same program in a form a C loop can execute: a linear instruction
+stream where instruction ``i`` writes register ``i``, children come before
+parents, and atoms are indices into a table of precomputed truth-vector
+buffers.
 
 Instruction encoding (int32 stream)::
 
@@ -36,7 +36,6 @@ from array import array
 from typing import Dict, List, Sequence, Tuple
 
 from repro.compile.ir import IRNode
-from repro.native.words import int_to_words, word_count, words_to_int
 
 OP_TRUE = 0
 OP_FALSE = 1
@@ -167,55 +166,3 @@ def positive_atom_mask(indexed, node: IRNode) -> int:
         return mask
     return indexed._atom_mask(node.predicate, node.args)
 
-
-def evaluate_words(program: FlatProgram, indexed, atom_masks: List[int]) -> int:
-    """Evaluate a single-root flat program over word arrays.
-
-    ``atom_masks`` are the positive int truth vectors aligned with
-    ``program.atoms``.  All intermediate registers are ``array('Q')`` word
-    buffers; the final register collapses back to a Python int at the
-    boundary so callers (and the digest-keyed engine caches) keep a single
-    mask representation.  Bit-identical to ``compiled.mask_program(ix)``;
-    the differential suite holds both this and the C evaluator to it.
-    """
-    return evaluate_words_multi(program, indexed, atom_masks)[0]
-
-
-def evaluate_words_multi(program: FlatProgram, indexed, atom_masks: List[int]) -> List[int]:
-    """Evaluate a flat program over word arrays (pure-Python reference),
-    returning one int mask per output register, in root order."""
-    num_pairs = len(indexed.po_pairs)
-    pw = word_count(num_pairs)
-    tail = int_to_words((1 << num_pairs) - 1, pw)
-    atom_words = [int_to_words(mask, pw) for mask in atom_masks]
-    registers: List[array] = []
-    codes = program.codes
-    position = 0
-    for _ in range(program.num_instructions):
-        op = codes[position]
-        operand = codes[position + 1]
-        position += 2
-        if op == OP_TRUE:
-            value = array("Q", tail)
-        elif op == OP_FALSE:
-            value = array("Q", bytes(8 * pw))
-        elif op == OP_ATOM:
-            value = array("Q", atom_words[operand])
-        elif op == OP_NATOM:
-            words = atom_words[operand]
-            value = array("Q", (tail[k] & ~words[k] for k in range(pw)))
-        else:
-            count = operand
-            sources = codes[position : position + count]
-            position += count
-            value = array("Q", tail if op == OP_AND else bytes(8 * pw))
-            for source in sources:
-                row = registers[source]
-                if op == OP_AND:
-                    for k in range(pw):
-                        value[k] &= row[k]
-                else:
-                    for k in range(pw):
-                        value[k] |= row[k]
-        registers.append(value)
-    return [words_to_int(registers[register]) for register in program.outputs]

@@ -1,17 +1,15 @@
-"""Flattened, model-independent search problems for the word-array kernels.
+"""Flattened, model-independent search problems for the C kernel.
 
 A :class:`KernelProblem` is everything :class:`~repro.checker.kernel.
 KernelSearch` derives from an :class:`~repro.checker.kernel.IndexedExecution`
 — the decision plan, the per-location coherence orders, the per-load
 read-from candidates, program order — flattened into tuples, typed arrays
-and word buffers that both the pure-Python word search
-(:mod:`repro.native.wordsearch`) and the C extension consume directly.
+and word buffers that the C extension consumes directly.
 
 Building it is the word-array form of the caching the bigint path gets from
 ``IndexedExecution.coherence_orders_at``: the problem is computed once per
 execution (memoized on the ``IndexedExecution`` itself) and shared by every
-model and every backend checked against that execution, so differential
-runs between backends don't re-flatten per check.
+model checked against that execution.
 
 The plan replicates ``KernelSearch``'s construction *exactly* — locations
 in ``ix.locations`` order skipping storeless ones, each location's loads in
@@ -29,7 +27,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.checker.kernel import IndexedExecution
 from repro.core.predicates import FENCE, MEMORY_ACCESS, READ, SAME_ADDR, WRITE
-from repro.native.words import int_to_words, word_count
+
+#: Bits per word of every word-array bitset in this package.  Bitsets are
+#: little-endian word arrays: bit ``i`` lives in word ``i >> 6`` at position
+#: ``i & 63``, byte-identical to ``int.to_bytes(..., "little")`` padded to
+#: the word count, which is how the Python-int masks cross into C.
+WORD_BITS = 64
+_WORD_MASK = (1 << WORD_BITS) - 1
 
 #: plan-step kinds in the flattened plan arrays
 PLAN_CO = 0
@@ -38,6 +42,19 @@ PLAN_RF = 1
 #: flag-bit position per builtin unary trait, matching the C ``atom_masks``
 #: spec encoding (code 0, a = bit, b = pair side).
 _TRAIT_BITS = {id(READ): 0, id(WRITE): 1, id(FENCE): 2, id(MEMORY_ACCESS): 3}
+
+
+def word_count(nbits: int) -> int:
+    """Words needed for ``nbits`` bits (at least one, so buffers exist)."""
+    return max(1, (nbits + WORD_BITS - 1) >> 6)
+
+
+def int_to_words(value: int, nwords: int) -> array:
+    """Spread a Python-int bitmask over ``nwords`` little-endian words."""
+    words = array("Q", bytes(8 * nwords))
+    for k in range(nwords):
+        words[k] = (value >> (k << 6)) & _WORD_MASK
+    return words
 
 
 #: per-atom-list C-call plans keyed by the node-id tuple (capped, see below)
@@ -94,7 +111,7 @@ def _builtin_atom_spec(node):
 
 
 class KernelProblem:
-    """One execution's search problem, flattened for the word-array kernels."""
+    """One execution's search problem, flattened for the C kernel."""
 
     __slots__ = (
         "indexed",

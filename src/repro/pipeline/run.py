@@ -106,9 +106,9 @@ class PipelineConfig:
         suite: template suite to compare against; matched to the space by
             default (``"no_deps"`` / ``"standard"``).
         backend: engine backend for the admissibility checks.
-        kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``,
-            ``"python"`` or ``"bigint"``); each worker process resolves it
-            once when it builds its engine.  The *resolved* kernel is
+        kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``
+            or ``"bigint"``); each worker process resolves it once when it
+            builds its engine.  The *resolved* kernel is
             recorded in the checkpoint manifest, and ``--resume`` refuses
             a run_dir whose shards were produced by a different kernel —
             all shipped kernels are bit-identical, but a checkpoint must
@@ -205,7 +205,7 @@ def _manifest_payload(
         "space": config.space,
         "suite": config.suite_key(),
         "backend": config.backend,
-        # The *resolved* kernel ("native"/"python"/"bigint", "" for
+        # The *resolved* kernel ("native"/"bigint", "" for
         # kernel-less backends), not the requested spec: a resume must not
         # mix verdict rows from differently-resolved kernels.
         "kernel": kernel,

@@ -16,6 +16,7 @@ from repro.api.requests import (
 from repro.api.serialize import SCHEMA_VERSION, from_json
 from repro.api.serve import handle_request_line, serve_socket, serve_stream
 from repro.api.session import Session
+from repro.native.backend import native_available
 
 
 def _serve_lines(lines, session=None):
@@ -85,15 +86,20 @@ def test_serve_demonstrates_cross_request_cache_reuse():
 
 def test_serve_stats_report_the_active_kernel_backend():
     """Every response's stats delta names the kernel and its search counters."""
-    for kernel in ("bigint", "python"):
+    kernels = ("bigint", "native") if native_available() else ("bigint",)
+    for kernel in kernels:
         _, responses = _serve_lines(
             [json.dumps({"op": "explore", "space": "no_deps"})],
             session=Session(kernel=kernel),
         )
         stats = responses[0]["stats"]
         assert stats["kernel_backend"] == kernel
-        assert stats["native_searches"] == 0
-        assert stats["fallback_searches"] > 0
+        if kernel == "native":
+            assert stats["native_searches"] > 0
+            assert stats["fallback_searches"] == 0
+        else:
+            assert stats["native_searches"] == 0
+            assert stats["fallback_searches"] > 0
 
 
 def test_serve_reports_errors_and_keeps_going():

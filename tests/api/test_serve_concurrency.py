@@ -18,6 +18,8 @@ from repro.api.session import Session
 from repro.cache import VerdictCache
 from repro.generation.named_tests import all_named_tests
 
+from tests.conftest import KERNEL_LEGS
+
 MODELS = ("SC", "TSO", "PSO", "RMO", "Alpha")
 TESTS = ("A", "L1", "L2", "L3", "L5", "L7")
 
@@ -146,7 +148,7 @@ def test_per_request_stats_deltas_sum_to_engine_total():
     assert sum(s["checks_performed"] for s in all_stats) == len(all_stats)
 
 
-@pytest.mark.parametrize("kernel", ("bigint", "python"))
+@pytest.mark.parametrize("kernel", KERNEL_LEGS)
 def test_verdicts_bit_identical_cache_on_vs_off(kernel):
     rng = random.Random(42)
     pairs = [(rng.choice(TESTS), rng.choice(MODELS)) for _ in range(60)]

@@ -498,9 +498,19 @@ def test_sigterm_mid_request_drains_and_exits_zero():
     )
     proc.stdin.write(CHECK_LINE + "\n")
     proc.stdin.flush()
-    time.sleep(0.6)  # the request is inside its injected 1.5s delay
+    # serve_start is logged once the drain handlers are installed; a signal
+    # sent before that kills the process instead of draining it.  The lines
+    # read here are kept for the event assertions below.
+    startup = []
+    for _ in range(200):
+        line = proc.stderr.readline()
+        startup.append(line)
+        if line.startswith("{") and json.loads(line)["event"] == "serve_start":
+            break
+    time.sleep(0.5)  # the request is inside its injected 1.5s delay
     proc.send_signal(signal.SIGTERM)
     out, err = proc.communicate(timeout=60)
+    err = "".join(startup) + err
     assert proc.returncode == 0
     responses = [json.loads(line) for line in out.splitlines()]
     assert responses and responses[0]["ok"] is True  # response delivered

@@ -110,33 +110,15 @@ def test_comparator_accepts_engine_instances_and_backend_names():
     assert named.engine.strategy.name == "sat"
 
 
-def test_comparator_checker_keyword_is_deprecated_but_works():
-    from repro.checker.sat_checker import SatChecker
-
-    with pytest.warns(DeprecationWarning, match="checker=.*deprecated"):
-        comparator = ModelComparator([TEST_A, L_TESTS[6]], checker=SatChecker())
-    assert comparator.compare(TSO, SC).relation is Relation.WEAKER
-
-
-def test_comparator_raw_checker_positional_is_deprecated_but_works():
+def test_comparator_rejects_raw_checker_objects():
     from repro.checker.explicit import ExplicitChecker
 
-    with pytest.warns(DeprecationWarning, match="raw checker object"):
-        comparator = ModelComparator([TEST_A], ExplicitChecker())
-    assert comparator.compare(TSO, SC).relation is Relation.WEAKER
+    with pytest.raises(TypeError, match="backend name"):
+        ModelComparator([TEST_A], ExplicitChecker())
 
 
 def test_comparator_rejects_engine_and_checker_together():
+    # engine= is the only backend keyword; the old checker= spelling is gone.
     with pytest.raises(TypeError):
         ModelComparator([TEST_A], "explicit", checker="sat")
 
-
-def test_module_helpers_keep_deprecated_checker_keyword():
-    from repro.checker.sat_checker import SatChecker
-
-    with pytest.warns(DeprecationWarning):
-        result = compare_models(TSO, SC, [TEST_A], checker=SatChecker())
-    assert result.relation is Relation.WEAKER
-    with pytest.warns(DeprecationWarning):
-        vector = verdict_vector(SC, [TEST_A], checker=SatChecker())
-    assert vector == (False,)

@@ -16,6 +16,16 @@ from repro.core.instructions import Fence, Load, Store
 from repro.core.litmus import LitmusTest
 from repro.core.parametric import ALLOWED_OPTIONS, ParametricModel
 from repro.core.program import Program, Thread
+from repro.native.backend import native_available
+
+#: The kernel legs for cache-on vs cache-off differentials: the bigint
+#: reference always, the C extension when it is built.
+KERNEL_LEGS = (
+    "bigint",
+    pytest.param(
+        "native", marks=pytest.mark.skipif(not native_available(), reason="C extension not built")
+    ),
+)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.engine import (
     EnumerationStrategy,
     ExplicitStrategy,
     IncrementalSatStrategy,
-    LegacyCheckerStrategy,
     make_strategy,
 )
 from repro.generation.named_tests import L_TESTS, TEST_A
@@ -36,21 +35,18 @@ def legacy_matrix():
 # strategy resolution
 # ----------------------------------------------------------------------
 def test_make_strategy_resolves_names_and_checkers():
-    from repro.checker.reference import EnumerationChecker
-
     assert isinstance(make_strategy("explicit"), ExplicitStrategy)
     assert isinstance(make_strategy("enumeration"), EnumerationStrategy)
     assert isinstance(make_strategy("sat"), IncrementalSatStrategy)
-    assert isinstance(make_strategy(ExplicitChecker()), ExplicitStrategy)
-    assert isinstance(make_strategy(EnumerationChecker()), EnumerationStrategy)
-    assert isinstance(make_strategy(SatChecker()), IncrementalSatStrategy)
-    # A preprocessing SatChecker keeps its own per-check pipeline.
-    assert isinstance(make_strategy(SatChecker(use_preprocessing=True)), LegacyCheckerStrategy)
-    assert isinstance(make_strategy(ReferenceChecker()), LegacyCheckerStrategy)
+    strategy = IncrementalSatStrategy()
+    assert make_strategy(strategy) is strategy
     with pytest.raises(ValueError):
         make_strategy("bogus")
     with pytest.raises(TypeError):
         make_strategy(42)
+    # Standalone checkers are used directly, never wrapped in an engine.
+    with pytest.raises(TypeError, match="backend name .* or an ExplicitStrategy"):
+        CheckEngine(SatChecker())
 
 
 def test_ensure_returns_existing_engine_unchanged():
@@ -75,8 +71,12 @@ def test_matrix_matches_legacy_checkers(backend, legacy_matrix):
 
 
 def test_matrix_agrees_with_reference_checker_strategy(legacy_matrix):
-    engine = CheckEngine(ReferenceChecker(max_events=9))
-    assert engine.verdict_matrix(MODELS, TESTS) == legacy_matrix
+    checker = ReferenceChecker(max_events=9)
+    matrix = {
+        model.name: tuple(checker.check(test, model).allowed for test in TESTS)
+        for model in MODELS
+    }
+    assert matrix == legacy_matrix
 
 
 def test_parallel_matrix_matches_serial(legacy_matrix):

@@ -9,7 +9,7 @@ from repro.core.model import MemoryModel
 from repro.engine.engine import CheckEngine
 from repro.generation.named_tests import L_TESTS
 
-KERNEL_LEGS = ("bigint", "python")
+from tests.conftest import KERNEL_LEGS
 
 
 def _models():
@@ -118,12 +118,12 @@ def test_opaque_legacy_checkers_skip_the_cache():
     from repro.checker.result import CheckResult
 
     class HomebrewChecker:
-        # No recognised strategy name: its semantics are whatever it does,
-        # so its verdicts must never enter (or come from) the shared cache.
+        # Its semantics are whatever it does, so its verdicts must never
+        # enter (or come from) the shared cache: the engine refuses it.
         def check(self, test, model, test_name=None):
             return CheckResult(allowed=True, test_name="", model_name="")
 
-    engine = CheckEngine(backend=HomebrewChecker(), verdict_cache=VerdictCache())
-    assert not engine._cacheable
-    engine.check(L_TESTS[0], named_models()["TSO"])
-    assert engine.stats.verdict_cache_misses == 0
+    cache = VerdictCache()
+    with pytest.raises(TypeError):
+        CheckEngine(backend=HomebrewChecker(), verdict_cache=cache)
+    assert len(cache) == 0

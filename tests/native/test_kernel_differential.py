@@ -1,38 +1,40 @@
-"""Differential validation of the word-array kernel backends.
+"""Differential validation of the kernel backends.
 
-Every kernel backend (``bigint``, ``python``, and — when the C extension is
-built — ``native``) must be *bit-identical*: same po-pair masks, same
-verdicts, and the same :data:`~repro.checker.kernel.KernelWitness` (or
-both ``None``) for every execution and model.  The hypothesis suite here
-drives all available backends over random litmus tests and random
-parametric models and asserts exact equality, and the word-level tests pin
-the :class:`~repro.native.words.WordReachability` engine against the
-bigint :class:`~repro.checker.kernel.ReachabilityKernel` at the 64-bit
-word boundaries (n = 63, 64, 65) where packing bugs live.
+The ``native`` C extension must be *bit-identical* to the ``bigint``
+reference: same po-pair masks, same verdicts, and the same
+:data:`~repro.checker.kernel.KernelWitness` (or both ``None``) for every
+execution and model.  The hypothesis suite here drives both backends over
+random litmus tests and random parametric models and asserts exact
+equality.  Those tests stay below 64 events, so a message-passing test of
+n = 63, 64 and 65 events pins the C kernel against the bigint kernel
+across the 64-bit word boundaries, where packing bugs live: the event
+rows and the 961-1,024-bit po-pair masks there span several words.
 
-The suite is deliberately runnable without the C extension — the native
-backend joins the differential automatically when importable, so the
-``REPRO_KERNEL=python`` CI leg still proves python vs bigint identity.
+The suite is runnable without the C extension — the native backend joins
+the differential automatically when importable, and the native-only tests
+skip otherwise.
 """
-
-import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.checker.kernel import IndexedExecution, KernelSearch, ReachabilityKernel
+from repro.checker.kernel import IndexedExecution, KernelSearch
 from repro.compile import compile_model
+from repro.core.catalog import RMO, SC, TSO
+from repro.core.instructions import Load, Store
+from repro.core.litmus import LitmusTest
+from repro.core.program import Program, Thread
 from repro.native.backend import native_available, resolve_kernel
-from repro.native.problem import kernel_problem
-from repro.native.words import WORD_BITS, WordReachability, word_count
-from repro.native.wordsearch import word_search
+from repro.native.problem import WORD_BITS, kernel_problem, word_count
 
 from tests.conftest import parametric_models, small_litmus_tests
 
 #: Every backend available in this environment, bigint first (the reference).
-BACKENDS = [resolve_kernel("bigint"), resolve_kernel("python")]
+BACKENDS = [resolve_kernel("bigint")]
 if native_available():
     BACKENDS.append(resolve_kernel("native"))
+
+needs_native = pytest.mark.skipif(not native_available(), reason="C extension not built")
 
 _SETTINGS = settings(
     max_examples=60,
@@ -102,49 +104,8 @@ def test_all_backends_agree_on_verdicts(test, model):
 
 
 # ----------------------------------------------------------------------
-# word-boundary reachability differential (n = 63, 64, 65)
+# word boundaries: n = 63, 64, 65 events through the C kernel
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("n", [5, 63, 64, 65])
-def test_word_reachability_matches_bigint_kernel(n):
-    """Random edge insertions with interleaved undo, compared row by row."""
-    rng = random.Random(64 * n)
-    words = WordReachability(n)
-    bigint = ReachabilityKernel(n)
-    marks = []
-    for step in range(300):
-        if marks and rng.random() < 0.2:
-            word_mark, bigint_mark = marks.pop(rng.randrange(len(marks)))
-            words.undo_to(word_mark)
-            bigint.undo_to(bigint_mark)
-        else:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if rng.random() < 0.3:
-                marks.append((words.mark(), bigint.mark()))
-            assert words.add_edge(u, v) == bigint.add_edge(u, v), (step, u, v)
-    for i in range(n):
-        assert words.row(i) == bigint.reach[i], i
-    for u in (0, n - 1, n // 2):
-        for v in (0, n - 1, n // 2):
-            assert words.has_path(u, v) == bigint.has_path(u, v)
-
-
-@pytest.mark.parametrize("n", [63, 64, 65])
-def test_word_reachability_undo_is_exact(n):
-    """Undo must restore the word array byte-for-byte, not just semantically."""
-    rng = random.Random(n)
-    kernel = WordReachability(n)
-    for _ in range(50):
-        kernel.add_edge(rng.randrange(n), rng.randrange(n))
-    snapshot = bytes(kernel.reach)
-    mark = kernel.mark()
-    for _ in range(100):
-        kernel.add_edge(rng.randrange(n), rng.randrange(n))
-    kernel.undo_to(mark)
-    assert bytes(kernel.reach) == snapshot
-    kernel.undo_to(0)
-    assert all(word == 0 for word in kernel.reach)
-
-
 def test_word_count_covers_boundaries():
     assert word_count(0) == 1  # never a zero-length buffer
     assert word_count(1) == 1
@@ -154,30 +115,51 @@ def test_word_count_covers_boundaries():
     assert word_count(2 * WORD_BITS + 1) == 3
 
 
-def test_transitive_chain_crosses_word_boundary():
-    """A path threaded through bits 62..66 exercises cross-word propagation."""
-    n = 70
-    kernel = WordReachability(n)
-    bigint = ReachabilityKernel(n)
-    chain = list(range(60, 70)) + [0]
-    for u, v in zip(chain, chain[1:]):
-        assert kernel.add_edge(u, v)
-        assert bigint.add_edge(u, v)
-    assert kernel.has_path(60, 0) and bigint.has_path(60, 0)
-    # Closing the cycle must be rejected by both without mutating state.
-    before = bytes(kernel.reach)
-    assert not kernel.add_edge(0, 60)
-    assert not bigint.add_edge(0, 60)
-    assert bytes(kernel.reach) == before
+def wide_message_passing(n):
+    """Message passing over ``n`` events: T1 stores ``x0..x{k-1}`` (plus
+    ``y`` when ``n`` is odd), T2 loads them in reverse and sees the last
+    store (``x{k-1} = 1``) but none of the earlier ones (``x0 = 0``)."""
+    k = n // 2
+    writer = [Store(f"x{i}", 1) for i in range(k)] + ([Store("y", 1)] if n % 2 else [])
+    reader = [Load(f"r{i}", f"x{i}") for i in reversed(range(k))]
+    outcome = {(1, j): int(j == 0) for j in range(k)}
+    return LitmusTest(f"MP{n}", Program([Thread("T1", writer), Thread("T2", reader)]), outcome)
 
 
-# ----------------------------------------------------------------------
-# word_search is the executable spec of the C search
-# ----------------------------------------------------------------------
-def test_word_search_matches_kernel_search_on_named_tests():
+@needs_native
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_native_matches_bigint_across_word_boundaries(n):
+    bigint, native = resolve_kernel("bigint"), resolve_kernel("native")
+    execution = wide_message_passing(n).execution()
+    problem = kernel_problem(IndexedExecution(execution))
+    assert problem.n == n
+    assert problem.nw == word_count(n)
+    assert problem.pw > 1  # the po-pair masks span several words
+
+    models = (SC, TSO, RMO)
+    compiled = [compile_model(model) for model in models]
+    masks = bigint.po_pair_masks(IndexedExecution(execution), compiled)
+    assert native.po_pair_masks(IndexedExecution(execution), compiled) == masks
+    for entry, mask in zip(compiled, masks):
+        assert native.po_pair_mask(IndexedExecution(execution), entry) == mask
+
+    verdicts = {}
+    for model in models:
+        po_edges = IndexedExecution(execution).po_edge_pairs(model)
+        witness = bigint.search(IndexedExecution(execution), po_edges)
+        assert native.search(IndexedExecution(execution), po_edges) == witness, model.name
+        verdicts[model.name] = witness is not None
+    # Seeing x{k-1} = 1 but x0 = 0 needs W->W or R->R reordering: SC and
+    # TSO keep both orders, RMO relaxes them.
+    assert verdicts == {"SC": False, "TSO": False, "RMO": True}
+
+
+@needs_native
+def test_native_search_matches_kernel_search_on_named_tests():
     from repro.core.parametric import model_space
     from repro.generation.named_tests import L_TESTS, TEST_A
 
+    native = resolve_kernel("native")
     models = model_space(include_data_dependencies=False)[:12]
     for test in [TEST_A] + list(L_TESTS):
         execution = test.execution()
@@ -187,11 +169,10 @@ def test_word_search_matches_kernel_search_on_named_tests():
         for model in models:
             po_edges = indexed.po_edge_pairs(model)
             expected = KernelSearch(indexed, po_edges).run()
-            problem = kernel_problem(IndexedExecution(execution))
-            assert word_search(problem, po_edges) == expected
+            assert native.search(IndexedExecution(execution), po_edges) == expected
 
 
-@pytest.mark.skipif(not native_available(), reason="C extension not built")
+@needs_native
 def test_native_backend_reports_native():
     import os
 
@@ -200,7 +181,7 @@ def test_native_backend_reports_native():
     assert backend.is_native
     auto = resolve_kernel("auto")
     if "REPRO_KERNEL" in os.environ:
-        # auto honours the env override (e.g. the CI pure-Python leg)
+        # auto honours the env override (e.g. the CI bigint leg)
         assert auto.name == os.environ["REPRO_KERNEL"]
     else:
         assert auto.name == "native"  # auto prefers the extension when built
@@ -209,7 +190,7 @@ def test_native_backend_reports_native():
 # ----------------------------------------------------------------------
 # batched C atom masks vs the Python per-node path
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not native_available(), reason="C extension not built")
+@needs_native
 @_SETTINGS
 @given(test=small_litmus_tests(), model=parametric_models())
 def test_batched_atom_masks_match_python_path(test, model):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import repro
-from repro.cli import build_parser, main, resolve_model
+from repro.cli import build_parser, main
 from repro.io.writer import write_litmus_file
 
 
@@ -28,14 +28,6 @@ def test_compare_models_via_top_level_api():
 
     result = compare_models(SC, TSO, L_TESTS)
     assert result.relation is Relation.STRONGER
-
-
-def test_resolve_model_accepts_catalog_and_parametric_names():
-    with pytest.warns(DeprecationWarning):
-        assert resolve_model("TSO").name == "TSO"
-        assert resolve_model("M4044").name == "M4044"
-        with pytest.raises(SystemExit):
-            resolve_model("NotAModel")
 
 
 def test_cli_catalog(capsys):
