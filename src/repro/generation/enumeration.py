@@ -25,8 +25,10 @@ setting and richer settings can be measured.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import islice, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.instructions import Fence, Instruction, Load, Store
@@ -83,17 +85,124 @@ def _thread_shapes(config: NaiveEnumerationConfig) -> List[_ThreadShape]:
     return shapes
 
 
-def _canonical_locations(thread_shapes: Sequence[_ThreadShape]) -> Optional[Dict[int, int]]:
-    """Relabel locations by first appearance; None if the program skips indices."""
-    mapping: Dict[int, int] = {}
-    for accesses, _fences in thread_shapes:
-        for _kind, location in accesses:
-            if location not in mapping:
-                mapping[location] = len(mapping)
-    # Canonical form: the locations used must be exactly 0..n-1 in first-use order.
-    if any(original != canonical for original, canonical in mapping.items()):
-        return None
-    return mapping
+#: Per shape: the location count after the shape for every count of
+#: locations used before it (None where the shape would skip a location
+#: index), and its per-location read and write counts.
+_ShapeRow = Tuple[Tuple[Optional[int], ...], Tuple[int, ...], Tuple[int, ...]]
+
+
+class _Plan:
+    """The shapes of one enumeration config, plus exact test counting.
+
+    A combination of thread shapes is location-canonical when every
+    location's first use comes in index order, so validity only depends on
+    how many locations the earlier threads used; and its outcome product
+    is ``prod (1 + writes[l]) ** reads[l]`` over the locations ``l``.  That
+    makes every block of combinations countable without enumerating it,
+    which is what lets :func:`enumerate_raw_naive_items` seek.
+    """
+
+    def __init__(self, config: NaiveEnumerationConfig) -> None:
+        self.config = config
+        self.shapes = _thread_shapes(config)
+        self.rows = [_shape_row(shape, config.max_locations) for shape in self.shapes]
+        #: distinct rows with their multiplicity, for counting whole blocks
+        self.classes = list(Counter(self.rows).items())
+        self._completions: Dict[Tuple, int] = {}
+
+    def completions(
+        self, threads: int, used: int, reads: Tuple[int, ...], writes: Tuple[int, ...]
+    ) -> int:
+        """Tests in all canonical completions by ``threads`` more threads."""
+        if not threads:
+            total = 1
+            for read_count, write_count in zip(reads, writes):
+                total *= (1 + write_count) ** read_count
+            return total
+        key = (threads, used, reads, writes)
+        total = self._completions.get(key)
+        if total is None:
+            total = 0
+            for (after, shape_reads, shape_writes), multiplicity in self.classes:
+                now_used = after[used]
+                if now_used is not None:
+                    total += multiplicity * self.completions(
+                        threads - 1, now_used,
+                        _add(reads, shape_reads), _add(writes, shape_writes),
+                    )
+            self._completions[key] = total
+        return total
+
+    def seek(self, start: int) -> Optional[Tuple[List[int], int]]:
+        """The shape indices of the combination holding test ``start``
+        (0-based) and the test's offset in its outcome product; None past
+        the end.  Skips whole blocks by their counts."""
+        zero = (0,) * self.config.max_locations
+        used, reads, writes = 0, zero, zero
+        position: List[int] = []
+        for depth in range(self.config.num_threads, 0, -1):
+            for index, (after, shape_reads, shape_writes) in enumerate(self.rows):
+                now_used = after[used]
+                if now_used is None:
+                    continue
+                now_reads, now_writes = _add(reads, shape_reads), _add(writes, shape_writes)
+                block = self.completions(depth - 1, now_used, now_reads, now_writes)
+                if start < block:
+                    position.append(index)
+                    used, reads, writes = now_used, now_reads, now_writes
+                    break
+                start -= block
+            else:
+                return None
+        return position, start
+
+    def combinations(self, position: Sequence[int]) -> Iterator[Tuple[_ThreadShape, ...]]:
+        """Canonical combinations in product order, from ``position`` on."""
+        rows, shapes, last = self.rows, self.shapes, self.config.num_threads - 1
+
+        def walk(depth: int, used: int, prefix: Tuple[_ThreadShape, ...], resume: bool):
+            low = position[depth] if resume else 0
+            for index in range(low, len(rows)):
+                after = rows[index][0][used]
+                if after is None:
+                    continue
+                combination = prefix + (shapes[index],)
+                if depth == last:
+                    yield combination
+                else:
+                    yield from walk(depth + 1, after, combination, resume and index == low)
+
+        return walk(0, 0, (), True)
+
+
+def _shape_row(shape: _ThreadShape, max_locations: int) -> _ShapeRow:
+    accesses, _fences = shape
+    reads = [0] * max_locations
+    writes = [0] * max_locations
+    for kind, location in accesses:
+        (reads if kind == "R" else writes)[location] += 1
+    after = tuple(_locations_after(accesses, used) for used in range(max_locations + 1))
+    return after, tuple(reads), tuple(writes)
+
+
+def _locations_after(accesses: Sequence[_Access], used: int) -> Optional[int]:
+    """Locations in use after ``accesses``, given ``used`` before them; None
+    when an access would skip a location index."""
+    for _kind, location in accesses:
+        if location > used:
+            return None
+        if location == used:
+            used += 1
+    return used
+
+
+def _add(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[int, ...]:
+    return tuple(a + b for a, b in zip(left, right))
+
+
+@lru_cache(maxsize=8)
+def _plan(config: NaiveEnumerationConfig) -> _Plan:
+    return _Plan(config)
 
 
 def _outcome_choices(thread_shapes: Sequence[_ThreadShape]) -> List[List[int]]:
@@ -122,16 +231,8 @@ def _outcome_choices(thread_shapes: Sequence[_ThreadShape]) -> List[List[int]]:
 
 def count_naive_tests(config: NaiveEnumerationConfig = NaiveEnumerationConfig()) -> int:
     """Count the naive enumeration space without building the tests."""
-    shapes = _thread_shapes(config)
-    total = 0
-    for combination in product(shapes, repeat=config.num_threads):
-        if _canonical_locations(combination) is None:
-            continue
-        outcomes = 1
-        for values in _outcome_choices(combination):
-            outcomes *= len(values)
-        total += outcomes
-    return total
+    zero = (0,) * config.max_locations
+    return _plan(config).completions(config.num_threads, 0, zero, zero)
 
 
 def enumerate_naive_tests(
@@ -159,12 +260,9 @@ def _enumerate_raw(
     config: NaiveEnumerationConfig, limit: Optional[int]
 ) -> Iterator[LitmusTest]:
     """The historical stream: location-canonical, but symmetry-redundant."""
-    shapes = _thread_shapes(config)
     produced = 0
     test_index = 0
-    for combination in product(shapes, repeat=config.num_threads):
-        if _canonical_locations(combination) is None:
-            continue
+    for combination in _plan(config).combinations([0] * config.num_threads):
         outcome_choices = _outcome_choices(combination)
         for outcome in product(*outcome_choices):
             test_index += 1
@@ -199,6 +297,7 @@ def enumerate_canonical_naive_tests(
 
 def enumerate_raw_naive_items(
     config: NaiveEnumerationConfig = NaiveEnumerationConfig(),
+    start: int = 0,
 ) -> Iterator[Tuple[str, Tuple[Tuple[Tuple[str, object, object], ...], ...]]]:
     """Yield ``(name, abstract_items)`` for every raw location-canonical test.
 
@@ -209,18 +308,30 @@ def enumerate_raw_naive_items(
     stream's surviving representatives carry).  The adaptive verification
     pipeline consumes this stream directly so its profile-based prefilter
     can *replace* the canonicalizer as the primary dedup.
+
+    ``start`` skips the first ``start`` tests: whole shape combinations
+    are skipped by their outcome counts, so seeking costs about as much as
+    enumerating one combination, and the stream equals the full stream
+    sliced at ``start``.
     """
-    shapes = _thread_shapes(config)
-    test_index = 0
-    for combination in product(shapes, repeat=config.num_threads):
-        if _canonical_locations(combination) is None:
-            continue
-        outcome_choices = _outcome_choices(combination)
+    if start < 0:
+        raise ValueError("start must be >= 0")
+    plan = _plan(config)
+    found = plan.seek(start)
+    if found is None:
+        return
+    first, skip = found
+    test_index = start
+    for combination in plan.combinations(first):
+        outcomes = product(*_outcome_choices(combination))
+        if skip:
+            outcomes = islice(outcomes, skip, None)
+            skip = 0
         # Per-combination item template: everything except the read values
         # is outcome-independent (2-tuples mark reads awaiting a value), so
         # the inner loop only fills values instead of rebuilding the shape.
         templates = _item_templates(combination)
-        for outcome in product(*outcome_choices):
+        for outcome in outcomes:
             test_index += 1
             position = 0
             threads = []
@@ -287,9 +398,9 @@ def _item_templates(
 ) -> Tuple[Tuple[Tuple, ...], ...]:
     """Outcome-independent item rows of a shape combination.
 
-    Identical to :func:`_abstract_items` except reads carry no value yet: a
-    2-tuple ``("R", location)`` marks a read whose value the caller fills
-    from the outcome, in the same thread-major read order.
+    Writes are numbered per location in thread-major order (as in
+    :func:`_build_test`); a 2-tuple ``("R", location)`` marks a read whose
+    value the caller fills from the outcome, in thread-major read order.
     """
     write_values: Dict[Tuple[int, int], int] = {}
     counter: Dict[int, int] = {}
@@ -310,37 +421,6 @@ def _item_templates(
                 row.append(("W", location, write_values[(thread_index, access_index)]))
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def _abstract_items(
-    thread_shapes: Sequence[_ThreadShape], outcome: Sequence[int]
-) -> Tuple[Tuple[Tuple[str, object, object], ...], ...]:
-    """The abstract shape of one enumerated test, without building it.
-
-    Mirrors :func:`_build_test` exactly: write values numbered per location
-    in thread-major order, outcome values consumed in read order.
-    """
-    write_values: Dict[Tuple[int, int], int] = {}
-    counter: Dict[int, int] = {}
-    for thread_index, (accesses, _fences) in enumerate(thread_shapes):
-        for access_index, (kind, location) in enumerate(accesses):
-            if kind == "W":
-                counter[location] = counter.get(location, 0) + 1
-                write_values[(thread_index, access_index)] = counter[location]
-
-    outcome_iter = iter(outcome)
-    threads = []
-    for thread_index, (accesses, fences) in enumerate(thread_shapes):
-        items = []
-        for access_index, (kind, location) in enumerate(accesses):
-            if access_index > 0 and fences[access_index - 1]:
-                items.append(("F", "full", 0))
-            if kind == "R":
-                items.append(("R", location, next(outcome_iter)))
-            else:
-                items.append(("W", location, write_values[(thread_index, access_index)]))
-        threads.append(tuple(items))
-    return tuple(threads)
 
 
 def _build_test(

@@ -24,11 +24,14 @@ provably coincides with an already-folded row are skipped with a
 certificate), adds the frontier rule (tests that cannot refine the
 partition are skipped), derives column verdicts by po-mask monotonicity,
 and checkpoints the folded partition itself so ``--resume`` restarts from
-the matrix instead of replaying shard rows.
+the matrix instead of replaying shard rows.  Workers enumerate and
+profile raw ranges (:func:`_profile_range`); the parent keeps only the
+profile index, the frontier check and the fold (:class:`_AdaptiveStream`).
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import threading
@@ -36,7 +39,7 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
@@ -44,6 +47,7 @@ from repro.core.parametric import model_space
 from repro.engine.engine import CheckEngine, EngineStats
 from repro.generation.enumeration import (
     NaiveEnumerationConfig,
+    count_naive_tests,
     enumerate_canonical_naive_items,
     enumerate_raw_naive_items,
     test_from_items,
@@ -113,16 +117,19 @@ class PipelineConfig:
             a run_dir whose shards were produced by a different kernel —
             all shipped kernels are bit-identical, but a checkpoint must
             never silently mix verdict provenances.
-        jobs: worker processes checking shards (1 = serial, in-process).
-        shard_size: unique tests per shard (the checkpointing granule).
+        jobs: worker processes checking shards and, in adaptive runs,
+            profiling raw ranges (1 = serial, in-process).
+        shard_size: unique tests per shard (the checkpointing granule);
+            an adaptive range job covers ``RANGE_SHARDS`` times as many
+            raw tests.
         limit: optional cap on unique tests (for smoke runs).
         run_dir: checkpoint directory; None disables checkpointing.
         resume: answer already-completed shards from ``run_dir``.
         shard_timeout: wall-clock seconds a parallel worker may spend on
-            one shard; past it the worker is killed and the shard retried
-            on a fresh worker.  None = no limit.
-        shard_retries: retries per shard (beyond the first attempt) before
-            the shard is quarantined and the run reported incomplete.
+            one job (shard, range or audit batch); past it the worker is
+            killed and the job retried on a fresh worker.  None = no limit.
+        shard_retries: retries per job (beyond the first attempt) before
+            it is quarantined and the run reported incomplete.
         adaptive: enable the partition-guided adaptive layer (profile
             prefilter, frontier skipping, monotone verdict derivation,
             partition checkpointing).  Off = the exact brute force, which
@@ -253,7 +260,8 @@ def _shard_path(run_dir: str, shard_index: int) -> str:
 
 
 def _mask_to_bits(mask: int, width: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
+    """Bit ``i`` of ``mask`` at position ``i`` (lowest model first)."""
+    return format(mask, f"0{width}b")[::-1]
 
 
 def _bits_to_mask(bits: str) -> int:
@@ -262,6 +270,22 @@ def _bits_to_mask(bits: str) -> int:
         if bit == "1":
             mask |= 1 << i
     return mask
+
+
+# Checkpoint records are rendered straight to their JSON lines: names are
+# ``N<int>``, digests are hex and verdicts are bit strings, so nothing
+# needs escaping, and each line equals ``json.dumps(record)`` byte for byte.
+def _row_line(name: str, digest: str, bits: str) -> str:
+    return f'{{"test": "{name}", "key": "{digest}", "verdicts": "{bits}"}}\n'
+
+
+def _skip_line(name: str, digest: str, representative: str) -> str:
+    return f'{{"skip": "{name}", "profile": "{digest}", "rep": "{representative}"}}\n'
+
+
+def _frontier_line(name: str, digest: str, groups: Sequence[int], width: int) -> str:
+    bits = ", ".join(f'"{_mask_to_bits(group, width)}"' for group in groups)
+    return f'{{"frontier": "{name}", "profile": "{digest}", "groups": [{bits}]}}\n'
 
 
 def _write_shard(
@@ -276,13 +300,12 @@ def _write_shard(
     path = _shard_path(run_dir, shard_index)
     tmp = path + ".tmp"
     with open(tmp, "w") as handle:
-        for name, digest, mask in zip(names, digests, rows):
-            handle.write(
-                json.dumps(
-                    {"test": name, "key": digest, "verdicts": _mask_to_bits(mask, num_models)}
-                )
-                + "\n"
+        handle.write(
+            "".join(
+                _row_line(name, digest, _mask_to_bits(mask, num_models))
+                for name, digest, mask in zip(names, digests, rows)
             )
+        )
         handle.write(json.dumps({"done": True, "tests": len(rows)}) + "\n")
     os.replace(tmp, path)
     # Fault point: tests simulate a torn checkpoint by truncating the file
@@ -293,8 +316,10 @@ def _write_shard(
 def _write_adaptive_shard(
     run_dir: str,
     shard_index: int,
-    extras: Dict[str, object],
+    names: Sequence[str],
+    digests: Sequence[str],
     rows: Sequence[int],
+    extras: Dict[str, object],
     num_models: int,
 ) -> None:
     """Persist an adaptive shard: verdict rows *and* skip certificates.
@@ -304,31 +329,31 @@ def _write_adaptive_shard(
     whose folded row its verdicts provably coincide with; a frontier skip
     records the model-group decomposition under which no verdict row could
     have refined the partition.  Both certificate kinds are machine-
-    checkable after the fact (and sampled by ``--audit-rate``).
+    checkable after the fact (and sampled by ``--audit-rate``).  In
+    ``extras["records"]`` skips arrive already rendered and a checked test
+    as its row index.
     """
     path = _shard_path(run_dir, shard_index)
     tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        for record in extras["records"]:
-            if "row" in record:
-                record = {
-                    "test": record["test"],
-                    "key": record["key"],
-                    "verdicts": _mask_to_bits(rows[record["row"]], num_models),
-                }
-            handle.write(json.dumps(record) + "\n")
-        handle.write(
-            json.dumps(
-                {
-                    "done": True,
-                    "tests": len(rows),
-                    "profile_skips": extras["profile_skips"],
-                    "frontier_skips": extras["frontier_skips"],
-                    "raw_offset": extras["raw_offset"],
-                }
-            )
-            + "\n"
+    lines = [
+        record if isinstance(record, str)
+        else _row_line(names[record], digests[record], _mask_to_bits(rows[record], num_models))
+        for record in extras["records"]
+    ]
+    lines.append(
+        json.dumps(
+            {
+                "done": True,
+                "tests": len(rows),
+                "profile_skips": extras["profile_skips"],
+                "frontier_skips": extras["frontier_skips"],
+                "raw_offset": extras["raw_offset"],
+            }
         )
+        + "\n"
+    )
+    with open(tmp, "w") as handle:
+        handle.write("".join(lines))
     os.replace(tmp, path)
     faults.truncate_file("pipeline.checkpoint", path, shard=shard_index)
 
@@ -396,7 +421,7 @@ def _load_shard(
 
 
 # ----------------------------------------------------------------------
-# shard checking
+# the worker half: checking shards and profiling raw ranges
 # ----------------------------------------------------------------------
 def _column_mask(
     engine: CheckEngine,
@@ -411,27 +436,99 @@ def _column_mask(
     return mask
 
 
-#: State inherited by forked shard workers (backend name, kernel name,
-#: model list, derive flag).
-_PIPE_STATE: Optional[Tuple[str, str, List[MemoryModel], bool]] = None
+def _check_items(
+    engine: CheckEngine,
+    models: Sequence[MemoryModel],
+    names: Sequence[str],
+    items_list: Sequence[tuple],
+    derive: bool,
+) -> Tuple[List[int], Dict[str, object]]:
+    """Check a batch of tests; their verdict rows and the engine stats spent.
+
+    The :class:`~repro.core.litmus.LitmusTest` objects are materialised
+    here, by whoever checks them: the stream carries only the compact
+    abstract item tuples.
+    """
+    before = engine.stats.snapshot()
+    rows = [
+        _column_mask(engine, test_from_items(items, name), models, derive=derive)
+        for name, items in zip(names, items_list)
+    ]
+    return rows, engine.stats.since(before).as_dict()
+
+
+#: Raw tests per range job, in shard sizes: a range of the adaptive stream
+#: costs about as much to profile as a shard costs to check.
+RANGE_SHARDS = 8
+
+#: What profiling a raw range yields: the profile digest of every test in
+#: range order; ``(model groups, items)`` of each test whose digest is new
+#: to the profiler (only those can be new to the profile index); and the
+#: items of every test the audit sample selects.
+RangeResult = Tuple[List[str], Dict[int, Tuple[List[int], tuple]], Dict[int, tuple]]
+
+
+def _profile_range(
+    space: AdaptiveSpace, config: PipelineConfig, start: int, stop: int, seen: Set[str]
+) -> RangeResult:
+    """Enumerate and profile raw tests ``start .. stop-1``.
+
+    Everything here depends on the tests alone, not on the partition, so
+    ranges are profiled independently (in shard workers, with the profile
+    memos living there) and only the compact result travels to the parent.
+
+    ``seen`` holds the digests this profiler met in *earlier* ranges of the
+    stream; it is updated in place.  The parent classifies ranges in raw
+    order and indexes every digest it classifies, so such a digest is
+    already indexed when this range is classified and needs no groups.
+    """
+    digests: List[str] = []
+    firsts: Dict[int, Tuple[List[int], tuple]] = {}
+    audits: Dict[int, tuple] = {}
+    rate = config.audit_rate
+    stream = enumerate_raw_naive_items(config.enumeration_config(), start=start)
+    for offset, (name, items) in zip(range(stop - start), stream):
+        profile = space.profile(items)
+        digest = profile_digest(profile)
+        digests.append(digest)
+        if digest not in seen:
+            seen.add(digest)
+            firsts[offset] = (space.groups(profile), items)
+        if rate and audit_selected(digest, name, rate):
+            audits[offset] = items
+    return digests, firsts, audits
+
+
+#: State inherited by forked workers: the config, the model list and the
+#: tabulated adaptive space (None for brute runs).
+_PIPE_STATE: Optional[Tuple[PipelineConfig, List[MemoryModel], Optional[AdaptiveSpace]]] = None
 _PIPE_STATE_LOCK = threading.Lock()
 #: The worker process's persistent engine (one per process, lazily built).
 _WORKER_ENGINE: Optional[CheckEngine] = None
 
 
 def _pipeline_worker_loop(conn) -> None:
-    """A shard worker's main loop (runs in a forked child process).
+    """A worker's main loop (runs in a forked child process).
 
-    Receives ``(shard_index, names, items_list, attempt)`` jobs on the
-    pipe and answers ``("ok", shard_index, rows, stats_dict)`` or
-    ``("error", shard_index, traceback_text)``; a ``None`` job (or a
-    closed pipe) ends the worker.  The engine is built lazily and persists
-    across shards, so a long-lived worker pays kernel resolution and model
-    compilation once.
+    Receives ``(kind, index, payload, attempt)`` jobs on the pipe — kind
+    ``"range"`` profiles a raw range, ``"shard"`` and ``"audit"`` check
+    tests — and answers ``("ok", result, stats_dict)`` or
+    ``("error", traceback_text)``; a ``None`` job (or a closed pipe) ends
+    the worker.  The engine and the profile memos persist across jobs, so a
+    long-lived worker pays kernel resolution and model compilation once.
     """
     global _WORKER_ENGINE
     assert _PIPE_STATE is not None
-    backend, kernel, models, derive = _PIPE_STATE
+    config, models, space = _PIPE_STATE
+    # Workers allocate millions of short-lived tuples and almost no
+    # reference cycles: leave the inherited heap out of collections and
+    # collect the youngest generation less often.
+    gc.freeze()
+    gc.set_threshold(10_000, 10, 10)
+    #: digests profiled in earlier ranges, valid while ranges arrive in
+    #: raw order (a retried earlier range resets it)
+    seen: Set[str] = set()
+    profiled_to = 0
     while True:
         try:
             job = conn.recv()
@@ -439,35 +536,36 @@ def _pipeline_worker_loop(conn) -> None:
             return
         if job is None:
             return
-        shard_index, names, items_list, attempt = job
+        kind, index, payload, attempt = job
         try:
             # Fault point for worker-failure testing: the attempt number is
             # part of the context, so a spec like
             # ``pipeline.shard[shard=1,attempt=0]=kill`` SIGKILLs only the
             # first attempt and lets the retry succeed.
-            faults.fire("pipeline.shard", shard=shard_index, attempt=attempt)
+            faults.fire(f"pipeline.{kind}", attempt=attempt, **{kind: index})
+            if kind == "range":
+                assert space is not None
+                start, stop = payload
+                if start < profiled_to:
+                    seen = set()
+                profiled_to = stop
+                conn.send(("ok", _profile_range(space, config, start, stop, seen), None))
+                continue
             if _WORKER_ENGINE is None:
-                _WORKER_ENGINE = CheckEngine(backend=backend, kernel=kernel)
+                _WORKER_ENGINE = CheckEngine(backend=config.backend, kernel=config.kernel)
                 _WORKER_ENGINE.precompile(models)
-            engine = _WORKER_ENGINE
-            before = engine.stats.snapshot()
-            # The LitmusTest objects are materialised here, in the worker:
-            # the enumerating process streams only the compact abstract item
-            # tuples, which both parallelises the test construction and
-            # keeps the pipe carrying small tuples instead of instruction
-            # object graphs.
-            rows = [
-                _column_mask(engine, test_from_items(items, name), models, derive=derive)
-                for name, items in zip(names, items_list)
-            ]
-            conn.send(("ok", shard_index, rows, engine.stats.since(before).as_dict()))
+            rows, stats = _check_items(_WORKER_ENGINE, models, *payload)
+            conn.send(("ok", rows, stats))
         except Exception:  # noqa: BLE001 - the parent decides retry/quarantine
             try:
-                conn.send(("error", shard_index, traceback.format_exc(limit=20)))
+                conn.send(("error", traceback.format_exc(limit=20)))
             except (OSError, ValueError):
                 return
 
 
+# ----------------------------------------------------------------------
+# the parent half: shard streams
+# ----------------------------------------------------------------------
 #: One shard off the stream: ``(shard_index, names, digests, items_list,
 #: extras)``; ``extras`` is None on the brute stream and the adaptive
 #: stream's record/counter snapshot otherwise.
@@ -500,20 +598,13 @@ def _shards(config: PipelineConfig, index: CanonicalIndex) -> Iterator[ShardTupl
         yield shard_index, names, digests, items_list, None
 
 
-def _adaptive_shards(
-    config: PipelineConfig,
-    space: AdaptiveSpace,
-    accumulator: PartitionAccumulator,
-    pindex: ProfileIndex,
-    counters: Dict[str, int],
-    audit_candidates: List[Tuple[str, tuple]],
-    start_shard: int = 0,
-    start_raw: int = 0,
-) -> Iterator[ShardTuple]:
-    """The adaptive stream: profile dedup and frontier skipping.
+class _AdaptiveStream:
+    """The adaptive stream's parent half: profile index and frontier check.
 
     Works on the *raw* enumeration (the profile is invariant under the
-    full symmetry group, so it subsumes canonical dedup).  Per raw test:
+    full symmetry group, so it subsumes canonical dedup).  Raw ranges are
+    profiled elsewhere (:func:`_profile_range`); :meth:`feed` consumes
+    their results strictly in raw order and, per raw test:
 
     * profile already indexed -> **profile skip** (certificate: the
       representative whose folded row the verdicts coincide with);
@@ -521,75 +612,123 @@ def _adaptive_shards(
       the accumulator matrix -> **frontier skip** (certificate: the group
       masks); the matrix only grows, so the decision never needs revisiting
       and the fresh profile still indexes future duplicates;
-    * otherwise the test is checked.
+    * otherwise the test is checked: every ``shard_size``-th one cuts a
+      shard.
 
     Frontier decisions read the live accumulator: in serial runs folds
-    happen between yields (exactly-replayable decisions); in parallel runs
-    the stream may run ahead of the fold, so decisions use a *lagged*
-    matrix — skipping strictly less, never unsoundly more.  Counters are
-    snapshotted into ``extras`` at yield time for the partition checkpoint.
-    ``config.limit`` caps *checked* tests, mirroring the brute stream's cap
-    on unique tests.
+    happen between the shards :meth:`feed` yields (exactly-replayable
+    decisions); in parallel runs classification runs ahead of the fold, so
+    decisions use a *lagged* matrix — skipping strictly less, never
+    unsoundly more.  Counters are snapshotted into ``extras`` at each cut
+    for the partition checkpoint.  ``config.limit`` caps *checked* tests,
+    mirroring the brute stream's cap on unique tests.
     """
-    raw_stream = enumerate_raw_naive_items(config.enumeration_config())
-    for _ in range(start_raw):
-        if next(raw_stream, None) is None:
-            break
-    counters["raw"] = start_raw
-    shard_index = start_shard
-    names: List[str] = []
-    digests: List[str] = []
-    items_list: List[tuple] = []
-    records: List[Dict[str, object]] = []
-    produced = accumulator.tests_folded
 
-    def extras_snapshot() -> Dict[str, object]:
-        return {
-            "records": records,
+    def __init__(
+        self,
+        config: PipelineConfig,
+        space: AdaptiveSpace,
+        accumulator: PartitionAccumulator,
+        pindex: ProfileIndex,
+        counters: Dict[str, int],
+        start_shard: int,
+    ) -> None:
+        self.config = config
+        self.space = space
+        self.accumulator = accumulator
+        self.pindex = pindex
+        self.counters = counters
+        #: the index of the next shard to cut
+        self.shard_index = start_shard
+        self.produced = accumulator.tests_folded
+        #: True once the limit is reached or the stream was cut short
+        self.done = False
+        self.names: List[str] = []
+        self.digests: List[str] = []
+        self.items_list: List[tuple] = []
+        self.records: List[object] = []
+        #: skipped tests the audit sample selected, awaiting a check
+        self.audit_names: List[str] = []
+        self.audit_items: List[tuple] = []
+
+    def ranges(self) -> Iterator[Tuple[int, int]]:
+        """The raw ranges still to profile, from the resume offset on."""
+        size = self.config.shard_size * RANGE_SHARDS
+        total = count_naive_tests(self.config.enumeration_config())
+        for start in range(self.counters["raw"], total, size):
+            yield start, min(start + size, total)
+
+    def feed(self, start: int, result: RangeResult) -> Iterator[ShardTuple]:
+        """Classify one profiled range; yields each shard as it is cut."""
+        digests, firsts, audits = result
+        counters, limit, size = self.counters, self.config.limit, self.config.shard_size
+        width = self.accumulator.num_models
+        representative, index_add = self.pindex.representative, self.pindex.add
+        for offset, digest in enumerate(digests):
+            if limit is not None and self.produced >= limit:
+                self.done = True
+                return
+            counters["raw"] += 1
+            name = f"N{start + offset + 1}"
+            known = representative(digest)
+            if known is not None:
+                counters["profile_skips"] += 1
+                self.records.append(_skip_line(name, digest, known))
+            else:
+                groups, items = firsts[offset]
+                index_add(digest, name)
+                if self.accumulator.can_refine(groups):
+                    self.records.append(len(self.names))
+                    self.names.append(name)
+                    self.digests.append(digest)
+                    self.items_list.append(items)
+                    self.produced += 1
+                    if len(self.names) == size:
+                        yield self._cut()
+                    continue
+                counters["frontier_skips"] += 1
+                self.records.append(_frontier_line(name, digest, groups, width))
+            if offset in audits:
+                self.audit_names.append(name)
+                self.audit_items.append(audits[offset])
+
+    def finish(self) -> Iterator[ShardTuple]:
+        """Cut the last, partial shard (if the stream left one)."""
+        self.done = True
+        if self.names or self.records:
+            yield self._cut()
+
+    def _cut(self) -> ShardTuple:
+        counters = self.counters
+        extras: Dict[str, object] = {
+            "records": self.records,
             "raw_offset": counters["raw"],
             "profile_skips": counters["profile_skips"],
             "frontier_skips": counters["frontier_skips"],
         }
+        shard = (self.shard_index, self.names, self.digests, self.items_list, extras)
+        self.shard_index += 1
+        self.names, self.digests, self.items_list, self.records = [], [], [], []
+        return shard
 
-    for name, items in raw_stream:
-        if config.limit is not None and produced >= config.limit:
+    def take_audits(self, size: int) -> Iterator[Tuple[List[str], List[tuple]]]:
+        """Audit candidates in batches of ``size`` (a short last batch once
+        the stream is done)."""
+        while len(self.audit_names) >= size or (self.done and self.audit_names):
+            yield self.audit_names[:size], self.audit_items[:size]
+            del self.audit_names[:size], self.audit_items[:size]
+
+
+def _serial_adaptive_shards(stream: _AdaptiveStream) -> Iterator[ShardTuple]:
+    """The adaptive stream with every range profiled in-process."""
+    seen: Set[str] = set()
+    for range_index, (start, stop) in enumerate(stream.ranges()):
+        faults.fire("pipeline.range", range=range_index, attempt=0)
+        result = _profile_range(stream.space, stream.config, start, stop, seen)
+        yield from stream.feed(start, result)
+        if stream.done:
             break
-        counters["raw"] += 1
-        profile = space.profile(items)
-        digest = profile_digest(profile)
-        representative = pindex.representative(digest)
-        if representative is not None:
-            counters["profile_skips"] += 1
-            records.append({"skip": name, "profile": digest, "rep": representative})
-            if audit_selected(digest, name, config.audit_rate):
-                audit_candidates.append((name, items))
-            continue
-        groups = space.groups(profile)
-        if not accumulator.can_refine(groups):
-            counters["frontier_skips"] += 1
-            pindex.add(digest, name)
-            records.append(
-                {
-                    "frontier": name,
-                    "profile": digest,
-                    "groups": [_mask_to_bits(g, space.num_models) for g in groups],
-                }
-            )
-            if audit_selected(digest, name, config.audit_rate):
-                audit_candidates.append((name, items))
-            continue
-        pindex.add(digest, name)
-        records.append({"row": len(names), "test": name, "key": digest})
-        names.append(name)
-        digests.append(digest)
-        items_list.append(items)
-        produced += 1
-        if len(names) == config.shard_size:
-            yield shard_index, names, digests, items_list, extras_snapshot()
-            shard_index += 1
-            names, digests, items_list, records = [], [], [], []
-    if names or records:
-        yield shard_index, names, digests, items_list, extras_snapshot()
+    yield from stream.finish()
 
 
 # ----------------------------------------------------------------------
@@ -669,7 +808,6 @@ def run_pipeline(
     index = CanonicalIndex()
     stats = EngineStats()
     num_models = len(models)
-    shards_total = 0
     shards_checked = 0
     shards_resumed = 0
 
@@ -678,11 +816,9 @@ def run_pipeline(
     # ------------------------------------------------------------------
     pindex = ProfileIndex()
     counters = {"raw": 0, "profile_skips": 0, "frontier_skips": 0}
-    audit_candidates: List[Tuple[str, tuple]] = []
     start_shard = 0
-    start_raw = 0
     partition_path: Optional[str] = None
-    if config.adaptive:
+    if adaptive_space is not None:
         partition_path = config.partition_checkpoint
         if partition_path is None and run_dir is not None:
             partition_path = os.path.join(run_dir, "partition.json")
@@ -696,11 +832,10 @@ def run_pipeline(
             if restored is not None and restored.identity() == template.identity():
                 accumulator.distinguished = list(restored.distinguished)
                 accumulator.tests_folded = restored.tests_folded
+                counters["raw"] = restored.raw_offset
                 counters["profile_skips"] = restored.profile_skips
                 counters["frontier_skips"] = restored.frontier_skips
-                start_shard = restored.shards_folded
-                start_raw = restored.raw_offset
-                shards_total = shards_resumed = start_shard
+                start_shard = shards_resumed = restored.shards_folded
                 if run_dir is not None:
                     _rebuild_profile_index(run_dir, start_shard, pindex)
     #: next shard index whose fold extends the contiguous folded prefix;
@@ -726,7 +861,7 @@ def run_pipeline(
             if run_dir is not None:
                 if extras is not None:
                     _write_adaptive_shard(
-                        run_dir, shard_index, extras, rows, num_models
+                        run_dir, shard_index, names, digests, rows, extras, num_models
                     )
                 else:
                     _write_shard(
@@ -734,6 +869,7 @@ def run_pipeline(
                     )
         if (
             partition_path is not None
+            and adaptive_space is not None
             and extras is not None
             and shard_index == next_checkpoint_shard
         ):
@@ -744,7 +880,7 @@ def run_pipeline(
             checkpoint.shards_folded = next_checkpoint_shard
             checkpoint.raw_offset = int(extras["raw_offset"])
             checkpoint.tests_folded = accumulator.tests_folded
-            checkpoint.raw_tests = int(extras["raw_offset"])
+            checkpoint.raw_tests = checkpoint.raw_offset
             checkpoint.profile_skips = int(extras["profile_skips"])
             checkpoint.frontier_skips = int(extras["frontier_skips"])
             checkpoint.distinguished = list(accumulator.distinguished)
@@ -761,27 +897,26 @@ def run_pipeline(
                 payload["frontier_skips"] = extras["frontier_skips"]
             progress("shard", payload)
 
-    if config.adaptive:
-        stream: Iterator[ShardTuple] = _adaptive_shards(
-            config, adaptive_space, accumulator, pindex, counters,
-            audit_candidates, start_shard, start_raw,
+    stream: Optional[_AdaptiveStream] = None
+    if adaptive_space is not None:
+        stream = _AdaptiveStream(
+            config, adaptive_space, accumulator, pindex, counters, start_shard
         )
-    else:
-        stream = _shards(config, index)
 
     # Extra workers beyond the machine's cores only add fork/IPC overhead
-    # (the check is CPU-bound), so a single-core host always takes the
+    # (the work is CPU-bound), so a single-core host always takes the
     # serial in-process path no matter what ``--jobs`` asks for.
-    effective_jobs = _effective_jobs(config)
+    context = _fork_context() if _effective_jobs(config) > 1 else None
     quarantined: List[int] = []
-    if effective_jobs > 1:
-        quarantined = _run_shards_parallel(
-            config, models, stream, fold_completed, stats, num_models
+    audit_rows: List[Tuple[List[str], List[int]]] = []
+    if context is not None:
+        quarantined, audit_rows = _run_parallel(
+            context, config, models, stream,
+            _shards(config, index) if stream is None else None, fold_completed, stats,
         )
-        shards_total = shards_checked + shards_resumed + len(quarantined)
     else:
-        for shard_index, names, digests, items_list, extras in stream:
-            shards_total += 1
+        shards = _serial_adaptive_shards(stream) if stream else _shards(config, index)
+        for shard_index, names, digests, items_list, extras in shards:
             rows = None
             # Adaptive runs never resume from shard rows: the partition
             # checkpoint already restored the folded prefix wholesale.
@@ -794,36 +929,33 @@ def run_pipeline(
             # only — there is no worker to retry on), so a `kill` fault here
             # SIGKILLs the whole run: exactly the crash-resume scenario.
             faults.fire("pipeline.shard", shard=shard_index, attempt=0)
-            before = engine.stats.snapshot()
-            rows = [
-                _column_mask(
-                    engine, test_from_items(items, name), models,
-                    derive=config.adaptive,
-                )
-                for name, items in zip(names, items_list)
-            ]
-            stats.merge(engine.stats.since(before).as_dict())
+            rows, spent = _check_items(engine, models, names, items_list, config.adaptive)
+            stats.merge(spent)
             fold_completed(shard_index, names, digests, rows, False, extras)
+        if stream is not None and stream.audit_names:
+            rows, spent = _check_items(
+                engine, models, stream.audit_names, stream.audit_items, False
+            )
+            stats.merge(spent)
+            audit_rows.append((stream.audit_names, rows))
 
     # ------------------------------------------------------------------
-    # end-of-run audits: re-check a deterministic sample of the skipped
-    # tests the long way and verify their certificates — a row that would
-    # still refine the partition means an unsound skip, which fails the run.
-    # (Skipped when shards were quarantined: a representative's row may be
-    # among the lost ones, and ``complete=False`` already flags the run.)
+    # end-of-run audits: a deterministic sample of the skipped tests was
+    # re-checked the long way (no derivation); a row that would still
+    # refine the final partition means an unsound skip, which fails the
+    # run.  (Skipped when shards were quarantined: a representative's row
+    # may be among the lost ones, and ``complete=False`` already flags it.)
     # ------------------------------------------------------------------
     audits_performed = 0
-    if config.adaptive and audit_candidates and not quarantined:
-        before = engine.stats.snapshot()
-        for name, items in audit_candidates:
-            mask = _column_mask(engine, test_from_items(items, name), models)
-            if accumulator.row_would_change(mask):
-                raise PipelineError(
-                    f"adaptive audit failed: skipped test {name!r} would "
-                    f"refine the partition (unsound skip certificate)"
-                )
-            audits_performed += 1
-        stats.merge(engine.stats.since(before).as_dict())
+    if not quarantined:
+        for names, rows in audit_rows:
+            for name, mask in zip(names, rows):
+                if accumulator.row_would_change(mask):
+                    raise PipelineError(
+                        f"adaptive audit failed: skipped test {name!r} would "
+                        f"refine the partition (unsound skip certificate)"
+                    )
+                audits_performed += 1
 
     naive_classes = accumulator.equivalence_classes()
     naive_edges = accumulator.hasse_edges()
@@ -838,7 +970,7 @@ def run_pipeline(
         model_names=model_names,
         raw_tests=counters["raw"] if config.adaptive else index.offered,
         unique_tests=accumulator.tests_folded,
-        shards_total=shards_total,
+        shards_total=shards_checked + shards_resumed + len(quarantined),
         shards_checked=shards_checked,
         shards_resumed=shards_resumed,
         checks_performed=stats.checks_performed,
@@ -887,6 +1019,17 @@ def _effective_jobs(config: PipelineConfig) -> int:
     return min(config.jobs, os.cpu_count() or 1)
 
 
+def _fork_context():
+    """The ``fork`` multiprocessing context; None where fork is missing
+    (the run then takes the serial in-process path)."""
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+
+
 def _partition_template(
     config: PipelineConfig, model_names: Sequence[str], space_digest: str
 ) -> PartitionCheckpoint:
@@ -918,28 +1061,32 @@ def _template_suite(key: str) -> List[LitmusTest]:
     )
 
 
-class _ShardEntry:
-    """One shard's lifecycle in the parallel scheduler."""
+# ----------------------------------------------------------------------
+# the parallel scheduler
+# ----------------------------------------------------------------------
+class _Job:
+    """One unit of worker work and its lifecycle in the parallel scheduler.
+
+    ``kind`` names the job and its fault point: ``"range"`` profiles the
+    raw tests ``payload = (start, stop)``; ``"shard"`` checks
+    ``payload = (names, items_list, derive)`` and is folded in shard
+    order; ``"audit"`` checks sampled skips without derivation.
+    """
 
     __slots__ = (
-        "shard_index", "names", "digests", "items_list", "extras",
-        "rows", "resumed", "attempts", "quarantined", "failure",
+        "kind", "index", "payload", "fold", "result", "resumed",
+        "attempts", "quarantined", "failure",
     )
 
     def __init__(
-        self,
-        shard_index: int,
-        names: List[str],
-        digests: List[str],
-        items_list: List[tuple],
-        extras: Optional[Dict[str, object]] = None,
+        self, kind: str, index: int, payload: tuple, fold: Optional[tuple] = None
     ) -> None:
-        self.shard_index = shard_index
-        self.names = names
-        self.digests = digests
-        self.items_list: Optional[List[tuple]] = items_list
-        self.extras = extras
-        self.rows: Optional[List[int]] = None
+        self.kind = kind
+        self.index = index
+        self.payload: Optional[tuple] = payload
+        #: for shards: the ``(names, digests, extras)`` the fold needs
+        self.fold = fold
+        self.result: object = None
         self.resumed = False
         #: attempts started so far (the worker sees this as ``attempt``)
         self.attempts = 0
@@ -947,11 +1094,11 @@ class _ShardEntry:
         self.failure = ""
 
     def done(self) -> bool:
-        return self.resumed or self.quarantined or self.rows is not None
+        return self.quarantined or self.result is not None
 
 
 class _WorkerHandle:
-    """One live shard worker: a forked process plus its duplex pipe."""
+    """One live worker: a forked process plus its duplex pipe."""
 
     def __init__(self, context) -> None:
         parent_conn, child_conn = context.Pipe()
@@ -961,18 +1108,18 @@ class _WorkerHandle:
         )
         self.process.start()
         child_conn.close()
-        self.entry: Optional[_ShardEntry] = None
+        self.job: Optional[_Job] = None
         self.deadline: Optional[float] = None
 
-    def assign(self, entry: _ShardEntry, shard_timeout: Optional[float]) -> bool:
-        """Send a shard to the worker; False if the pipe is already broken."""
-        attempt = entry.attempts
-        entry.attempts += 1
+    def assign(self, job: _Job, shard_timeout: Optional[float]) -> bool:
+        """Send a job to the worker; False if the pipe is already broken."""
+        attempt = job.attempts
+        job.attempts += 1
         try:
-            self.conn.send((entry.shard_index, entry.names, entry.items_list, attempt))
+            self.conn.send((job.kind, job.index, job.payload, attempt))
         except (OSError, ValueError):
             return False
-        self.entry = entry
+        self.job = job
         self.deadline = (
             time.monotonic() + shard_timeout if shard_timeout is not None else None
         )
@@ -993,143 +1140,179 @@ class _WorkerHandle:
         self.conn.close()
 
 
-def _run_shards_parallel(
+def _run_parallel(
+    context,
     config: PipelineConfig,
     models: List[MemoryModel],
-    stream: Iterator[ShardTuple],
+    stream: Optional[_AdaptiveStream],
+    brute_shards: Optional[Iterator[ShardTuple]],
     fold_completed: Callable[..., None],
     stats: EngineStats,
-    num_models: int,
-) -> List[int]:
-    """Fan shard checking out over fault-tolerant fork workers.
+) -> Tuple[List[int], List[Tuple[List[str], List[int]]]]:
+    """Fan the run out over fault-tolerant fork workers.
 
-    Shards are materialised at most ``2 * jobs`` at a time so a huge
-    enumeration never holds more than a window of shards in memory, and
-    results are folded (and checkpointed) in shard order so a kill leaves
-    a clean resumable prefix plus at most a window of lost work.
+    Brute runs check the parent's ``brute_shards``.  Adaptive runs hand
+    the workers raw ranges to profile, classify the results in raw order
+    through ``stream`` (profile index and frontier check stay here), and
+    hand the workers the shards that cuts; sampled audits are checked on
+    the workers too.  At most ``2 * jobs`` ranges (or brute shards) are
+    outstanding at a time, and shards are folded (and checkpointed) in
+    shard order, so a kill leaves a clean resumable prefix.
 
     Fault tolerance: a worker that dies (any cause, detected through its
     process sentinel), reports an exception, or overruns
     ``config.shard_timeout`` is killed and replaced by a fresh worker, and
-    its shard is retried up to ``config.shard_retries`` more times.  A
-    shard that exhausts its attempts is *quarantined* — excluded from the
-    partition and returned to the caller — instead of aborting the run.
+    its job is retried up to ``config.shard_retries`` more times.  A shard
+    that exhausts its attempts is *quarantined* — excluded from the
+    partition — instead of aborting the run.  A quarantined range ends
+    the stream where it starts: the shards before it are folded, the
+    partition checkpoint stops at them, and the shard that would have
+    followed is reported quarantined.  A quarantined audit batch is left
+    out of the audit count.
 
-    Returns the quarantined shard indices (empty for a clean run).
+    Returns the quarantined shard indices and the audited rows.
     """
-    import multiprocessing
     from multiprocessing import connection as mp_connection
 
     global _PIPE_STATE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        # No fork on this platform: check serially on one in-process engine.
-        engine = CheckEngine(backend=config.backend, kernel=config.kernel)
-        for shard_index, names, digests, items_list, extras in stream:
-            rows = None
-            if config.resume and config.run_dir is not None and not config.adaptive:
-                rows = _load_shard(config.run_dir, shard_index, digests, num_models)
-            if rows is not None:
-                fold_completed(shard_index, names, digests, rows, resumed=True)
-                continue
-            faults.fire("pipeline.shard", shard=shard_index, attempt=0)
-            before = engine.stats.snapshot()
-            rows = [
-                _column_mask(
-                    engine, test_from_items(items, name), models,
-                    derive=config.adaptive,
-                )
-                for name, items in zip(names, items_list)
-            ]
-            stats.merge(engine.stats.since(before).as_dict())
-            fold_completed(shard_index, names, digests, rows, False, extras)
-        return []
-
     jobs = _effective_jobs(config)
     window = jobs * 2
     max_attempts = 1 + config.shard_retries
     quarantined: List[int] = []
+    num_models = len(models)
 
     with _PIPE_STATE_LOCK:
-        _PIPE_STATE = (config.backend, config.kernel, models, config.adaptive)
+        _PIPE_STATE = (config, models, stream.space if stream is not None else None)
         workers: List[_WorkerHandle] = []
         try:
-            #: shards materialised but not yet folded, in shard order
-            entries: List[_ShardEntry] = []
-            #: shards awaiting a worker (retries go to the front)
-            pending: Deque[_ShardEntry] = deque()
+            #: shards not yet folded, in shard order
+            shards: Deque[_Job] = deque()
+            #: ranges not yet classified, in raw order
+            ranges: Deque[_Job] = deque()
+            audits: List[_Job] = []
+            #: jobs awaiting a worker, by kind (retries go to the front)
+            pending: Dict[str, Deque[_Job]] = {
+                "shard": deque(), "range": deque(), "audit": deque(),
+            }
+            plan = enumerate(stream.ranges()) if stream is not None else None
+            #: every shard of the run has been cut
             exhausted = False
+            range_lost = False
 
-            def fill_window() -> None:
-                nonlocal exhausted
-                while not exhausted and len(entries) < window:
-                    try:
-                        shard_index, names, digests, items_list, extras = next(stream)
-                    except StopIteration:
-                        exhausted = True
-                        return
-                    entry = _ShardEntry(shard_index, names, digests, items_list, extras)
-                    if config.resume and config.run_dir is not None and not config.adaptive:
-                        rows = _load_shard(config.run_dir, shard_index, digests, num_models)
-                        if rows is not None:
-                            entry.rows, entry.resumed = rows, True
-                    entries.append(entry)
-                    if not entry.resumed:
-                        pending.append(entry)
+            def add_shard(shard: ShardTuple) -> None:
+                shard_index, names, digests, items_list, extras = shard
+                job = _Job(
+                    "shard", shard_index, (names, items_list, config.adaptive),
+                    (names, digests, extras),
+                )
+                if config.resume and config.run_dir is not None and not config.adaptive:
+                    rows = _load_shard(config.run_dir, shard_index, digests, num_models)
+                    if rows is not None:
+                        job.result, job.resumed = rows, True
+                shards.append(job)
+                if not job.resumed:
+                    pending["shard"].append(job)
+
+            def produce() -> None:
+                nonlocal exhausted, range_lost
+                if brute_shards is not None:
+                    while not exhausted and len(shards) < window:
+                        shard = next(brute_shards, None)
+                        if shard is None:
+                            exhausted = True
+                        else:
+                            add_shard(shard)
+                    return
+                assert stream is not None
+                while ranges and ranges[0].done() and not stream.done:
+                    job = ranges.popleft()
+                    if job.quarantined:
+                        range_lost = stream.done = True
+                        break
+                    assert job.payload is not None
+                    for shard in stream.feed(job.payload[0], job.result):  # type: ignore[arg-type]
+                        add_shard(shard)
+                while plan is not None and not stream.done and len(ranges) < window:
+                    entry = next(plan, None)
+                    if entry is None:
+                        break
+                    job = _Job("range", entry[0], entry[1])
+                    ranges.append(job)
+                    pending["range"].append(job)
+                if not exhausted and (stream.done or not ranges):
+                    for shard in stream.finish():
+                        add_shard(shard)
+                    exhausted = True
+                    if range_lost:
+                        quarantined.append(stream.shard_index)
+                    # Ranges past the end of the stream are not needed.
+                    ranges.clear()
+                    pending["range"].clear()
+                for names, items_list in stream.take_audits(config.shard_size):
+                    job = _Job("audit", len(audits), (names, items_list, False))
+                    audits.append(job)
+                    pending["audit"].append(job)
 
             def fold_front() -> None:
-                while entries and entries[0].done():
-                    entry = entries.pop(0)
-                    if entry.quarantined:
-                        quarantined.append(entry.shard_index)
+                while shards and shards[0].done():
+                    job = shards.popleft()
+                    if job.quarantined:
+                        quarantined.append(job.index)
                         continue
-                    assert entry.rows is not None
+                    assert job.fold is not None
+                    names, digests, extras = job.fold
                     fold_completed(
-                        entry.shard_index, entry.names, entry.digests,
-                        entry.rows, entry.resumed, entry.extras,
+                        job.index, names, digests, job.result, job.resumed, extras
                     )
 
+            def next_pending(ranges_first: bool) -> _Job:
+                first, second = ("range", "shard") if ranges_first else ("shard", "range")
+                queue = next(pending[kind] for kind in (first, second, "audit") if pending[kind])
+                return queue.popleft()
+
             def fail(worker: _WorkerHandle, reason: str) -> None:
-                """Kill a failed/hung worker; retry or quarantine its shard."""
-                entry = worker.entry
-                worker.entry = None
+                """Kill a failed/hung worker; retry or quarantine its job."""
+                job = worker.job
+                worker.job = None
                 worker.close(kill=True)
                 workers.remove(worker)
-                assert entry is not None
-                entry.failure = reason
-                if entry.attempts >= max_attempts:
-                    entry.quarantined = True
+                assert job is not None
+                job.failure = reason
+                if job.attempts >= max_attempts:
+                    job.quarantined = True
                 else:
-                    pending.appendleft(entry)
+                    pending[job.kind].appendleft(job)
 
             while True:
-                fill_window()
+                produce()
                 fold_front()
-                # Hand pending shards to idle workers, spawning fresh
-                # workers up to the job count as needed.
-                idle = [worker for worker in workers if worker.entry is None]
-                while pending and (idle or len(workers) < jobs):
-                    worker = idle.pop() if idle else None
-                    if worker is None:
+                if exhausted and not shards and all(job.done() for job in audits):
+                    break
+                # Hand pending jobs to idle workers, spawning fresh
+                # workers up to the job count as needed.  The oldest worker
+                # takes ranges first and the others take shards first, so
+                # the profile memos warm up mostly in one process.
+                idle = [worker for worker in workers if worker.job is None]
+                while any(pending.values()):
+                    if idle:
+                        worker = idle.pop(0)
+                    elif len(workers) < jobs:
                         worker = _WorkerHandle(context)
                         workers.append(worker)
-                    entry = pending.popleft()
-                    if not worker.assign(entry, config.shard_timeout):
-                        entry.attempts -= 1  # the send never reached a worker
-                        worker.entry = entry  # so fail() routes the retry
+                    else:
+                        break
+                    job = next_pending(worker is workers[0])
+                    if not worker.assign(job, config.shard_timeout):
+                        job.attempts -= 1  # the send never reached a worker
+                        worker.job = job  # so fail() routes the retry
                         fail(worker, "worker pipe broken before dispatch")
 
-                busy = [worker for worker in workers if worker.entry is not None]
+                busy = [worker for worker in workers if worker.job is not None]
                 if not busy:
-                    if exhausted and not pending:
-                        fold_front()
-                        if not entries:
-                            break
                     continue
 
                 # Wait for a result, a death (process sentinel), or the
-                # nearest shard deadline.
+                # nearest job deadline.
                 waitables: List[object] = [worker.conn for worker in busy]
                 waitables += [worker.process.sentinel for worker in busy]
                 timeout = 0.5
@@ -1142,39 +1325,46 @@ def _run_shards_parallel(
 
                 now = time.monotonic()
                 for worker in busy:
-                    entry = worker.entry
-                    if entry is None:  # already handled this round
+                    job = worker.job
+                    if job is None:  # already handled this round
                         continue
                     if worker.conn.poll():
                         try:
                             message = worker.conn.recv()
                         except (EOFError, OSError):
-                            fail(worker, "worker died mid-shard")
+                            fail(worker, "worker died mid-job")
                             continue
                         if message[0] == "ok":
-                            _, shard_index, rows, worker_stats = message
-                            assert shard_index == entry.shard_index
+                            _, result, worker_stats = message
                             # Stats merge only on success, keeping counters
                             # deterministic: failed attempts contribute none.
-                            stats.merge(worker_stats)
-                            entry.rows = rows
-                            entry.items_list = None
-                            worker.entry = None
+                            if worker_stats is not None:
+                                stats.merge(worker_stats)
+                            job.result = result
+                            if job.kind == "shard":
+                                job.payload = None
+                            worker.job = None
                             worker.deadline = None
                         else:
-                            _, shard_index, text = message
                             # A fresh worker per retry: the failed worker's
                             # state is suspect, so it is not reused.
-                            fail(worker, f"worker exception:\n{text}")
+                            fail(worker, f"worker exception:\n{message[1]}")
                     elif not worker.process.is_alive():
-                        fail(worker, "worker died mid-shard")
+                        fail(worker, "worker died mid-job")
                     elif worker.deadline is not None and now >= worker.deadline:
                         fail(
                             worker,
-                            f"shard exceeded the {config.shard_timeout:g}s timeout",
+                            f"{job.kind} exceeded the {config.shard_timeout:g}s timeout",
                         )
         finally:
+            # A worker still busy (an abandoned range, or an aborted run)
+            # may be blocked sending its result: kill it rather than wait.
             for worker in workers:
-                worker.close()
+                worker.close(kill=worker.job is not None)
             _PIPE_STATE = None
-    return quarantined
+    audit_rows = [
+        (job.payload[0], job.result)
+        for job in audits
+        if not job.quarantined and job.payload is not None
+    ]
+    return quarantined, audit_rows  # type: ignore[return-value]

@@ -4,11 +4,15 @@ import pytest
 
 from repro.checker.explicit import is_allowed
 from repro.core.catalog import SC
+from itertools import islice
+
 from repro.generation.enumeration import (
     NaiveEnumerationConfig,
     count_naive_tests,
     enumerate_naive_tests,
+    enumerate_raw_naive_items,
 )
+from repro.pipeline.run import BOUNDS
 
 
 def small_config() -> NaiveEnumerationConfig:
@@ -91,3 +95,25 @@ def test_canonical_location_naming_avoids_renaming_duplicates():
     tests = list(enumerate_naive_tests(config, raw=True))
     # With one access per thread, the first access always uses location X.
     assert all(test.program.locations()[0] == "X" for test in tests)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BOUNDS["small"],
+        NaiveEnumerationConfig(
+            num_threads=3, max_accesses_per_thread=1, max_locations=2, allow_fences=False
+        ),
+    ],
+    ids=["small", "three-threads"],
+)
+def test_raw_stream_seeks_to_every_offset(config):
+    """``start=k`` yields the full stream sliced at ``k``, for every ``k``
+    from 0 to the end (checked on a short prefix, plus whole tails)."""
+    full = list(enumerate_raw_naive_items(config))
+    assert len(full) == count_naive_tests(config)
+    for start in range(len(full) + 1):
+        seeked = enumerate_raw_naive_items(config, start=start)
+        assert list(islice(seeked, 3)) == full[start : start + 3]
+    for start in (0, 1, len(full) // 3, len(full) - 1, len(full), len(full) + 5):
+        assert list(enumerate_raw_naive_items(config, start=start)) == full[start:]

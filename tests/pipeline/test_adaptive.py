@@ -402,6 +402,144 @@ def test_adaptive_shard_files_carry_certificates(tmp_path):
     assert marker["raw_offset"] == report.raw_tests
 
 
+def test_checkpoint_lines_equal_json_dumps():
+    """Records are rendered straight to their lines, byte for byte what
+    ``json.dumps`` writes for the same record."""
+    from repro.pipeline.run import _frontier_line, _row_line, _skip_line
+
+    digest = "0123456789abcdef0123456789abcdef"
+    assert _skip_line("N12", digest, "N3") == json.dumps(
+        {"skip": "N12", "profile": digest, "rep": "N3"}
+    ) + "\n"
+    assert _row_line("N7", digest, "0110") == json.dumps(
+        {"test": "N7", "key": digest, "verdicts": "0110"}
+    ) + "\n"
+    for groups in ([0b1111], [0b0001, 0b1110], [0b0101, 0b0010, 0b1000]):
+        bits = ["".join("1" if group >> i & 1 else "0" for i in range(4)) for group in groups]
+        assert _frontier_line("N9", digest, groups, 4) == json.dumps(
+            {"frontier": "N9", "profile": digest, "groups": bits}
+        ) + "\n"
+
+
+def test_adaptive_shard_files_are_json_dumps_lines(tmp_path):
+    """A medium run dir is byte-identical to one whose writer called
+    ``json.dumps`` per record."""
+    run_dir = str(tmp_path / "run")
+    report = run_pipeline(
+        PipelineConfig(
+            bound="medium", kernel="bigint", adaptive=True, shard_size=24, run_dir=run_dir
+        )
+    )
+    lines = 0
+    for shard_index in range(report.shards_total):
+        path = os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")
+        with open(path) as handle:
+            for line in handle:
+                assert line == json.dumps(json.loads(line)) + "\n"
+                lines += 1
+    assert lines == report.raw_tests + report.shards_total
+
+
+# ----------------------------------------------------------------------
+# the prefilter in the workers
+# ----------------------------------------------------------------------
+def _skip_records(run_dir, shards):
+    """The ``(skip, rep)`` pairs of a run dir's profile-skip records."""
+    pairs = []
+    for shard_index in range(shards):
+        with open(os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")) as handle:
+            for line in handle:
+                record = json.loads(line)
+                if "skip" in record:
+                    pairs.append((record["skip"], record["rep"]))
+    return pairs
+
+
+def _adaptive(run_dir, bound="small", jobs=1, **overrides):
+    return run_pipeline(
+        PipelineConfig(
+            bound=bound, kernel="bigint", adaptive=True, shard_size=24,
+            jobs=jobs, run_dir=run_dir, **overrides,
+        )
+    )
+
+
+@pytest.mark.parametrize("bound", ["small", "medium"])
+def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound):
+    """Two workers profiling raw ranges give the serial run's partition,
+    raw count and profile-skip certificates (frontier decisions may use a
+    lagged matrix, so only the sum of checked and frontier-skipped tests
+    must agree)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = _adaptive(str(tmp_path / "serial"), bound)
+    parallel = _adaptive(str(tmp_path / "parallel"), bound, jobs=2)
+    assert parallel.equivalence_classes == serial.equivalence_classes
+    assert parallel.hasse_edges == serial.hasse_edges
+    assert parallel.raw_tests == serial.raw_tests
+    assert parallel.profile_skips == serial.profile_skips
+    for report in (serial, parallel):
+        assert report.complete
+        assert (
+            report.profile_skips + report.frontier_skips + report.unique_tests
+            == report.raw_tests
+        )
+    assert _skip_records(str(tmp_path / "parallel"), parallel.shards_total) == _skip_records(
+        str(tmp_path / "serial"), serial.shards_total
+    )
+
+
+def test_worker_prefilter_audits_on_the_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = _adaptive(str(tmp_path / "run"), jobs=2, audit_rate=1.0)
+    assert report.audits_performed == report.profile_skips + report.frontier_skips > 0
+
+
+def test_worker_audits_fail_on_an_unsound_skip(monkeypatch):
+    """The workers inherit a broken profiler; the parent still judges the
+    audit rows and fails the run."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    constant = SPACE.profile(RAW_SMALL[0][1])
+    monkeypatch.setattr(AdaptiveSpace, "profile", lambda self, items: constant)
+    with pytest.raises(PipelineError, match="audit failed"):
+        _adaptive(None, jobs=2, audit_rate=1.0)
+
+
+def test_worker_prefilter_resumes_a_killed_run(tmp_path, monkeypatch):
+    """An adaptive parallel run killed mid-stream and resumed equals an
+    uninterrupted one."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    full = _adaptive(str(tmp_path / "full"), "medium", jobs=2)
+    killed_dir = str(tmp_path / "killed")
+    seen = [0]
+
+    def progress(event, payload):
+        if event == "shard":
+            seen[0] += 1
+            if seen[0] > 2:
+                raise _Killed()
+
+    with pytest.raises(_Killed):
+        run_pipeline(
+            PipelineConfig(
+                bound="medium", kernel="bigint", adaptive=True, shard_size=24,
+                jobs=2, run_dir=killed_dir,
+            ),
+            progress=progress,
+        )
+    mid = PartitionCheckpoint.load(os.path.join(killed_dir, "partition.json"))
+    assert mid is not None and 0 < mid.raw_offset < full.raw_tests
+    resumed = _adaptive(killed_dir, "medium", jobs=2, resume=True)
+    assert resumed.shards_resumed == mid.shards_folded
+    assert resumed.equivalence_classes == full.equivalence_classes
+    assert resumed.hasse_edges == full.hasse_edges
+    assert resumed.raw_tests == full.raw_tests
+    assert resumed.profile_skips == full.profile_skips
+    assert (
+        resumed.unique_tests + resumed.frontier_skips
+        == full.unique_tests + full.frontier_skips
+    )
+
+
 def test_config_validation_for_adaptive_options():
     with pytest.raises(PipelineError, match="audit_rate"):
         PipelineConfig(audit_rate=1.5, adaptive=True)

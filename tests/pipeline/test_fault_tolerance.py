@@ -155,6 +155,62 @@ def test_assert_match_flag_fails_incomplete_runs(tmp_path, monkeypatch, capsys):
     assert "incomplete" in capsys.readouterr().err
 
 
+#: An adaptive configuration whose raw stream is ten 192-test ranges.
+SMALL_ADAPTIVE = dict(bound="small", adaptive=True, shard_size=24)
+
+
+def _adaptive_essence(report):
+    return (
+        report.equivalence_classes, report.hasse_edges, report.raw_tests,
+        report.profile_skips, report.unique_tests + report.frontier_skips,
+    )
+
+
+def test_killed_range_worker_is_retried_on_a_fresh_worker():
+    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
+    faults.install("pipeline.range[range=1,attempt=0]=kill")
+    report = run_pipeline(PipelineConfig(jobs=2, **SMALL_ADAPTIVE))
+    assert report.complete is True
+    assert report.quarantined_shards == []
+    assert _adaptive_essence(report) == _adaptive_essence(clean)
+
+
+def test_range_retried_on_a_worker_that_ran_ahead():
+    """Range 0 hangs past the timeout while the other worker profiles
+    ranges 1-3; the retry lands on that worker, which must forget the
+    digests it met in later ranges."""
+    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
+    faults.install("pipeline.range[range=0,attempt=0]=delay:120")
+    report = run_pipeline(PipelineConfig(jobs=2, shard_timeout=1.0, **SMALL_ADAPTIVE))
+    assert report.complete is True
+    assert _adaptive_essence(report) == _adaptive_essence(clean)
+
+
+def test_exhausted_range_is_quarantined_and_resumable(tmp_path):
+    """A range that fails every attempt ends the stream where it starts:
+    the run is incomplete, the partition checkpoint stops before the
+    range, and a resume with the fault cleared completes the run."""
+    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
+    run_dir = str(tmp_path / "run")
+    faults.install("pipeline.range[range=1]=raise")
+    report = run_pipeline(
+        PipelineConfig(jobs=2, shard_retries=1, run_dir=run_dir, **SMALL_ADAPTIVE)
+    )
+    assert report.complete is False
+    assert report.raw_tests == 192  # range 0 only
+    assert report.quarantined_shards == [report.shards_total - 1]
+    from repro.pipeline.adaptive import PartitionCheckpoint
+
+    frozen = PartitionCheckpoint.load(os.path.join(run_dir, "partition.json"))
+    assert frozen is not None and frozen.raw_offset == 192
+    faults.clear()
+    resumed = run_pipeline(
+        PipelineConfig(jobs=2, run_dir=run_dir, resume=True, **SMALL_ADAPTIVE)
+    )
+    assert resumed.complete is True
+    assert _adaptive_essence(resumed) == _adaptive_essence(clean)
+
+
 # ----------------------------------------------------------------------
 # torn checkpoints and manifests
 # ----------------------------------------------------------------------
