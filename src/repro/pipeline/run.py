@@ -1154,8 +1154,8 @@ def _run_parallel(
     Brute runs check the parent's ``brute_shards``.  Adaptive runs hand
     the workers raw ranges to profile, classify the results in raw order
     through ``stream`` (profile index and frontier check stay here), and
-    hand the workers the shards that cuts; sampled audits are checked on
-    the workers too.  At most ``2 * jobs`` ranges (or brute shards) are
+    hand the workers the shards ``stream`` cuts; sampled audits are
+    checked on the workers too.  At most ``2 * jobs`` ranges (or brute shards) are
     outstanding at a time, and shards are folded (and checkpointed) in
     shard order, so a kill leaves a clean resumable prefix.
 
