@@ -503,11 +503,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer already-completed shards from --run-dir instead of re-checking")
     enumerate_verify.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="kill a parallel worker stuck on one shard past this long and "
-        "retry the shard on a fresh worker (default: no limit)")
+        help="kill a parallel worker stuck on one job (a shard, or a raw range "
+        "or audit batch of an adaptive run) past this long and retry the job "
+        "on a fresh worker (default: no limit)")
     enumerate_verify.add_argument(
         "--shard-retries", type=int, default=2, metavar="N",
-        help="retries per shard (beyond the first attempt) before the shard "
+        help="retries per job (beyond the first attempt) before the job "
         "is quarantined and the run reported incomplete (default: 2)")
     enumerate_verify.add_argument(
         "--adaptive", action=argparse.BooleanOptionalAction, default=False,

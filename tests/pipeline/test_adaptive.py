@@ -266,7 +266,9 @@ class _Killed(Exception):
     pass
 
 
-def _run_small(run_dir, resume=False, kill_after=None, audit_rate=0.0):
+def _run_adaptive(run_dir, bound="small", jobs=1, kill_after=None, **overrides):
+    """An adaptive bigint run (shard size 24) that raises ``_Killed`` after
+    ``kill_after`` folded shards."""
     seen = [0]
 
     def progress(event, payload):
@@ -277,8 +279,8 @@ def _run_small(run_dir, resume=False, kill_after=None, audit_rate=0.0):
 
     return run_pipeline(
         PipelineConfig(
-            bound="small", kernel="bigint", adaptive=True, shard_size=24,
-            run_dir=run_dir, resume=resume, audit_rate=audit_rate,
+            bound=bound, kernel="bigint", adaptive=True, shard_size=24,
+            jobs=jobs, run_dir=run_dir, **overrides,
         ),
         progress=progress,
     )
@@ -286,12 +288,12 @@ def _run_small(run_dir, resume=False, kill_after=None, audit_rate=0.0):
 
 def test_adaptive_resume_is_bit_identical(tmp_path):
     full_dir, killed_dir = str(tmp_path / "full"), str(tmp_path / "killed")
-    full = _run_small(full_dir)
+    full = _run_adaptive(full_dir)
     with pytest.raises(_Killed):
-        _run_small(killed_dir, kill_after=2)
+        _run_adaptive(killed_dir, kill_after=2)
     mid = PartitionCheckpoint.load(os.path.join(killed_dir, "partition.json"))
     assert mid is not None and 0 < mid.shards_folded
-    resumed = _run_small(killed_dir, resume=True)
+    resumed = _run_adaptive(killed_dir, resume=True)
     assert resumed.equivalence_classes == full.equivalence_classes
     assert resumed.hasse_edges == full.hasse_edges
     assert resumed.unique_tests == full.unique_tests
@@ -307,18 +309,18 @@ def test_adaptive_resume_is_bit_identical(tmp_path):
 def test_adaptive_resume_survives_a_torn_partition_checkpoint(tmp_path):
     """A torn checkpoint degrades to a cold start, never a crash."""
     run_dir = str(tmp_path / "run")
-    full = _run_small(run_dir)
+    full = _run_adaptive(run_dir)
     path = os.path.join(run_dir, "partition.json")
     text = open(path).read()
     open(path, "w").write(text[: len(text) // 3])
-    again = _run_small(run_dir, resume=True)
+    again = _run_adaptive(run_dir, resume=True)
     assert again.equivalence_classes == full.equivalence_classes
     assert again.shards_resumed == 0  # cold start: nothing restorable
 
 
 def test_resume_refuses_a_different_kernel(tmp_path):
     run_dir = str(tmp_path / "run")
-    _run_small(run_dir)
+    _run_adaptive(run_dir)
     manifest_path = os.path.join(run_dir, "manifest.json")
     manifest = json.load(open(manifest_path))
     assert manifest["kernel"] == "bigint"
@@ -327,7 +329,7 @@ def test_resume_refuses_a_different_kernel(tmp_path):
     manifest["kernel"] = "somekernel"
     json.dump(manifest, open(manifest_path, "w"))
     with pytest.raises(PipelineError, match="kernel"):
-        _run_small(run_dir, resume=True)
+        _run_adaptive(run_dir, resume=True)
 
 
 def test_resume_refuses_crossing_adaptive_and_brute(tmp_path):
@@ -356,7 +358,7 @@ def test_audit_selection_is_deterministic_and_proportional():
 
 
 def test_full_audit_passes_and_is_counted(tmp_path):
-    report = _run_small(str(tmp_path / "run"), audit_rate=1.0)
+    report = _run_adaptive(str(tmp_path / "run"), audit_rate=1.0)
     assert report.audits_performed == report.profile_skips + report.frontier_skips > 0
 
 
@@ -378,7 +380,7 @@ def test_audit_fails_on_an_unsound_skip(monkeypatch):
 # ----------------------------------------------------------------------
 def test_adaptive_shard_files_carry_certificates(tmp_path):
     run_dir = str(tmp_path / "run")
-    report = _run_small(run_dir)
+    report = _run_adaptive(run_dir)
     rows = skips = frontiers = 0
     for shard_index in range(report.shards_total):
         path = os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")
@@ -455,24 +457,15 @@ def _skip_records(run_dir, shards):
     return pairs
 
 
-def _adaptive(run_dir, bound="small", jobs=1, **overrides):
-    return run_pipeline(
-        PipelineConfig(
-            bound=bound, kernel="bigint", adaptive=True, shard_size=24,
-            jobs=jobs, run_dir=run_dir, **overrides,
-        )
-    )
-
-
-@pytest.mark.parametrize("bound", ["small", "medium"])
-def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound):
-    """Two workers profiling raw ranges give the serial run's partition,
-    raw count and profile-skip certificates (frontier decisions may use a
+@pytest.mark.parametrize("bound,jobs", [("small", 2), ("medium", 2), ("medium", 4)])
+def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound, jobs):
+    """Workers profiling raw ranges give the serial run's partition, raw
+    count and profile-skip certificates (frontier decisions may use a
     lagged matrix, so only the sum of checked and frontier-skipped tests
     must agree)."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    serial = _adaptive(str(tmp_path / "serial"), bound)
-    parallel = _adaptive(str(tmp_path / "parallel"), bound, jobs=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+    serial = _run_adaptive(str(tmp_path / "serial"), bound)
+    parallel = _run_adaptive(str(tmp_path / "parallel"), bound, jobs=jobs)
     assert parallel.equivalence_classes == serial.equivalence_classes
     assert parallel.hasse_edges == serial.hasse_edges
     assert parallel.raw_tests == serial.raw_tests
@@ -490,7 +483,7 @@ def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound):
 
 def test_worker_prefilter_audits_on_the_workers(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    report = _adaptive(str(tmp_path / "run"), jobs=2, audit_rate=1.0)
+    report = _run_adaptive(str(tmp_path / "run"), jobs=2, audit_rate=1.0)
     assert report.audits_performed == report.profile_skips + report.frontier_skips > 0
 
 
@@ -501,34 +494,20 @@ def test_worker_audits_fail_on_an_unsound_skip(monkeypatch):
     constant = SPACE.profile(RAW_SMALL[0][1])
     monkeypatch.setattr(AdaptiveSpace, "profile", lambda self, items: constant)
     with pytest.raises(PipelineError, match="audit failed"):
-        _adaptive(None, jobs=2, audit_rate=1.0)
+        _run_adaptive(None, jobs=2, audit_rate=1.0)
 
 
 def test_worker_prefilter_resumes_a_killed_run(tmp_path, monkeypatch):
     """An adaptive parallel run killed mid-stream and resumed equals an
     uninterrupted one."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    full = _adaptive(str(tmp_path / "full"), "medium", jobs=2)
+    full = _run_adaptive(str(tmp_path / "full"), "medium", jobs=2)
     killed_dir = str(tmp_path / "killed")
-    seen = [0]
-
-    def progress(event, payload):
-        if event == "shard":
-            seen[0] += 1
-            if seen[0] > 2:
-                raise _Killed()
-
     with pytest.raises(_Killed):
-        run_pipeline(
-            PipelineConfig(
-                bound="medium", kernel="bigint", adaptive=True, shard_size=24,
-                jobs=2, run_dir=killed_dir,
-            ),
-            progress=progress,
-        )
+        _run_adaptive(killed_dir, "medium", jobs=2, kill_after=2)
     mid = PartitionCheckpoint.load(os.path.join(killed_dir, "partition.json"))
     assert mid is not None and 0 < mid.raw_offset < full.raw_tests
-    resumed = _adaptive(killed_dir, "medium", jobs=2, resume=True)
+    resumed = _run_adaptive(killed_dir, "medium", jobs=2, resume=True)
     assert resumed.shards_resumed == mid.shards_folded
     assert resumed.equivalence_classes == full.equivalence_classes
     assert resumed.hasse_edges == full.hasse_edges

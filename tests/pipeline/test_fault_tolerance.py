@@ -166,31 +166,38 @@ def _adaptive_essence(report):
     )
 
 
-def test_killed_range_worker_is_retried_on_a_fresh_worker():
-    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
+@pytest.fixture(scope="module")
+def clean_adaptive():
+    saved = faults.snapshot()
+    faults.clear()
+    try:
+        return _adaptive_essence(run_pipeline(PipelineConfig(**SMALL_ADAPTIVE)))
+    finally:
+        faults.restore(saved)
+
+
+def test_killed_range_worker_is_retried_on_a_fresh_worker(clean_adaptive):
     faults.install("pipeline.range[range=1,attempt=0]=kill")
     report = run_pipeline(PipelineConfig(jobs=2, **SMALL_ADAPTIVE))
     assert report.complete is True
     assert report.quarantined_shards == []
-    assert _adaptive_essence(report) == _adaptive_essence(clean)
+    assert _adaptive_essence(report) == clean_adaptive
 
 
-def test_range_retried_on_a_worker_that_ran_ahead():
+def test_range_retried_on_a_worker_that_ran_ahead(clean_adaptive):
     """Range 0 hangs past the timeout while the other worker profiles
     ranges 1-3; the retry lands on that worker, which must forget the
     digests it met in later ranges."""
-    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
     faults.install("pipeline.range[range=0,attempt=0]=delay:120")
     report = run_pipeline(PipelineConfig(jobs=2, shard_timeout=1.0, **SMALL_ADAPTIVE))
     assert report.complete is True
-    assert _adaptive_essence(report) == _adaptive_essence(clean)
+    assert _adaptive_essence(report) == clean_adaptive
 
 
-def test_exhausted_range_is_quarantined_and_resumable(tmp_path):
+def test_exhausted_range_is_quarantined_and_resumable(tmp_path, clean_adaptive):
     """A range that fails every attempt ends the stream where it starts:
     the run is incomplete, the partition checkpoint stops before the
     range, and a resume with the fault cleared completes the run."""
-    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
     run_dir = str(tmp_path / "run")
     faults.install("pipeline.range[range=1]=raise")
     report = run_pipeline(
@@ -208,7 +215,7 @@ def test_exhausted_range_is_quarantined_and_resumable(tmp_path):
         PipelineConfig(jobs=2, run_dir=run_dir, resume=True, **SMALL_ADAPTIVE)
     )
     assert resumed.complete is True
-    assert _adaptive_essence(resumed) == _adaptive_essence(clean)
+    assert _adaptive_essence(resumed) == clean_adaptive
 
 
 # ----------------------------------------------------------------------
