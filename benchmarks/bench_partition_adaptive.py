@@ -11,7 +11,10 @@ two modes over the same bound on the same warm process:
   rate and derived-verdict count in ``extra_info``;
 * ``test_profile_throughput`` — the prefilter alone: raw tests/second
   through ``AdaptiveSpace.profile`` (the per-raw-test overhead every skip
-  must amortise).
+  must amortise);
+* ``test_native_profile_range_small`` — the same bound through the C range
+  profiler (``_profile_range(native=True)``, a cold profiler each round),
+  asserted equal to the Python reference; skipped without the extension.
 
 Every run asserts the differential fact that justifies the layer — the
 adaptive partition equals the brute one — so an unsound speedup fails here
@@ -21,9 +24,10 @@ before it flatters the numbers.
 import pytest
 
 from repro.core.parametric import model_space
+from repro.native.backend import native_available
 from repro.pipeline.adaptive import AdaptiveSpace
-from repro.pipeline.run import BOUNDS, PipelineConfig, run_pipeline
-from repro.generation.enumeration import enumerate_raw_naive_items
+from repro.pipeline.run import BOUNDS, PipelineConfig, _profile_range, run_pipeline
+from repro.generation.enumeration import count_naive_tests, enumerate_raw_naive_items
 
 BOUND = "small"
 
@@ -83,4 +87,28 @@ def test_profile_throughput(benchmark):
     benchmark.extra_info["profiles"] = profiles
     benchmark.extra_info["raw_tests_per_second"] = round(
         len(raw) / benchmark.stats.stats.median
+    )
+
+
+@pytest.mark.benchmark(group="partition-adaptive")
+@pytest.mark.skipif(not native_available(), reason="C extension not built")
+def test_native_profile_range_small(benchmark):
+    """Raw tests/second through the C range profiler, cold each round."""
+    models = model_space(include_data_dependencies=False)
+    config = PipelineConfig(bound=BOUND, adaptive=True)
+    total = count_naive_tests(config.enumeration_config())
+
+    def cold_space():
+        return (AdaptiveSpace.build(models),), {}
+
+    def profile_range(space):
+        return _profile_range(space, config, 0, total, set(), native=True)
+
+    result = benchmark.pedantic(profile_range, setup=cold_space, rounds=5, iterations=1)
+    reference = _profile_range(AdaptiveSpace.build(models), config, 0, total, set())
+    assert result == reference
+    benchmark.extra_info["raw_tests"] = total
+    benchmark.extra_info["profiles"] = len(result[1])
+    benchmark.extra_info["raw_tests_per_second"] = round(
+        total / benchmark.stats.stats.median
     )

@@ -31,10 +31,7 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.instructions import Fence, Instruction, Load, Store
 from repro.core.litmus import LitmusTest
-from repro.core.program import Program, Thread
-from repro.util.naming import location_name
 
 
 @dataclass(frozen=True)
@@ -106,6 +103,16 @@ class _Plan:
         self.config = config
         self.shapes = _thread_shapes(config)
         self.rows = [_shape_row(shape, config.max_locations) for shape in self.shapes]
+        #: per shape, the locations of its reads in order
+        self.read_locations = [
+            tuple(location for kind, location in accesses if kind == "R")
+            for accesses, _fences in self.shapes
+        ]
+        #: the values a read can observe, by the write count of its location
+        self.choice_values = [
+            tuple(range(writes + 1))
+            for writes in range(config.num_threads * config.max_accesses_per_thread + 1)
+        ]
         #: distinct rows with their multiplicity, for counting whole blocks
         self.classes = list(Counter(self.rows).items())
         self._completions: Dict[Tuple, int] = {}
@@ -156,23 +163,34 @@ class _Plan:
                 return None
         return position, start
 
-    def combinations(self, position: Sequence[int]) -> Iterator[Tuple[_ThreadShape, ...]]:
-        """Canonical combinations in product order, from ``position`` on."""
+    def blocks(self, position: Sequence[int]) -> Iterator[Tuple[tuple, List[Tuple[int, ...]]]]:
+        """Item templates and read choices of each canonical combination,
+        in product order from ``position`` on.  Templates are built thread
+        by thread, so a prefix's rows are shared by every combination that
+        extends it."""
         rows, shapes, last = self.rows, self.shapes, self.config.num_threads - 1
+        read_locations, values = self.read_locations, self.choice_values
 
-        def walk(depth: int, used: int, prefix: Tuple[_ThreadShape, ...], resume: bool):
+        def walk(
+            depth: int, used: int, counts: Tuple[int, ...], templates: tuple,
+            reads: Tuple[int, ...], resume: bool,
+        ):
             low = position[depth] if resume else 0
             for index in range(low, len(rows)):
                 after = rows[index][0][used]
                 if after is None:
                     continue
-                combination = prefix + (shapes[index],)
+                row, now = _thread_template(shapes[index], counts)
+                now_reads = reads + read_locations[index]
                 if depth == last:
-                    yield combination
+                    yield templates + (row,), [values[now[location]] for location in now_reads]
                 else:
-                    yield from walk(depth + 1, after, combination, resume and index == low)
+                    yield from walk(
+                        depth + 1, after, now, templates + (row,), now_reads,
+                        resume and index == low,
+                    )
 
-        return walk(0, 0, (), True)
+        return walk(0, 0, (0,) * self.config.max_locations, (), (), True)
 
 
 def _shape_row(shape: _ThreadShape, max_locations: int) -> _ShapeRow:
@@ -203,30 +221,6 @@ def _add(left: Tuple[int, ...], right: Tuple[int, ...]) -> Tuple[int, ...]:
 @lru_cache(maxsize=8)
 def _plan(config: NaiveEnumerationConfig) -> _Plan:
     return _Plan(config)
-
-
-def _outcome_choices(thread_shapes: Sequence[_ThreadShape]) -> List[List[int]]:
-    """For every read, the values it could observe (0 or any same-location write value)."""
-    # Assign write values: per location, writes numbered 1.. in thread-major order.
-    write_values: Dict[Tuple[int, int], int] = {}
-    counter: Dict[int, int] = {}
-    for thread_index, (accesses, _fences) in enumerate(thread_shapes):
-        for access_index, (kind, location) in enumerate(accesses):
-            if kind == "W":
-                counter[location] = counter.get(location, 0) + 1
-                write_values[(thread_index, access_index)] = counter[location]
-
-    choices: List[List[int]] = []
-    for thread_index, (accesses, _fences) in enumerate(thread_shapes):
-        for access_index, (kind, location) in enumerate(accesses):
-            if kind == "R":
-                values = [0]
-                for (other_thread, other_index), value in write_values.items():
-                    other_location = thread_shapes[other_thread][0][other_index][1]
-                    if other_location == location:
-                        values.append(value)
-                choices.append(sorted(set(values)))
-    return choices
 
 
 def count_naive_tests(config: NaiveEnumerationConfig = NaiveEnumerationConfig()) -> int:
@@ -260,17 +254,8 @@ def _enumerate_raw(
     config: NaiveEnumerationConfig, limit: Optional[int]
 ) -> Iterator[LitmusTest]:
     """The historical stream: location-canonical, but symmetry-redundant."""
-    produced = 0
-    test_index = 0
-    for combination in _plan(config).combinations([0] * config.num_threads):
-        outcome_choices = _outcome_choices(combination)
-        for outcome in product(*outcome_choices):
-            test_index += 1
-            if limit is not None and produced >= limit:
-                return
-            test = _build_test(combination, outcome, f"N{test_index}")
-            produced += 1
-            yield test
+    for name, items in islice(enumerate_raw_naive_items(config), limit):
+        yield test_from_items(items, name)
 
 
 def enumerate_canonical_naive_tests(
@@ -314,6 +299,32 @@ def enumerate_raw_naive_items(
     enumerating one combination, and the stream equals the full stream
     sliced at ``start``.
     """
+    test_index = start
+    for templates, choices, skip in raw_naive_blocks(config, start):
+        outcomes = product(*choices)
+        if skip:
+            outcomes = islice(outcomes, skip, None)
+        for outcome in outcomes:
+            test_index += 1
+            yield f"N{test_index}", _fill_items(templates, outcome)
+
+
+#: One shape combination of the raw stream: its item templates (see
+#: :func:`_thread_template`), the value choices of its reads, and the
+#: outcome the stream starts at.
+RawBlock = Tuple[Tuple[Tuple[Tuple, ...], ...], List[Tuple[int, ...]], int]
+
+
+def raw_naive_blocks(
+    config: NaiveEnumerationConfig = NaiveEnumerationConfig(), start: int = 0
+) -> Iterator[RawBlock]:
+    """The raw stream from test ``start`` on, one shape combination at a time.
+
+    The tests of a block are its outcomes ``product(*choices)`` from
+    ``skip`` on, each filled into the templates (:func:`block_items`); the
+    first block's ``skip`` places ``start`` mid-combination, later blocks
+    start at 0.  :func:`enumerate_raw_naive_items` is this stream expanded.
+    """
     if start < 0:
         raise ValueError("start must be >= 0")
     plan = _plan(config)
@@ -321,30 +332,38 @@ def enumerate_raw_naive_items(
     if found is None:
         return
     first, skip = found
-    test_index = start
-    for combination in plan.combinations(first):
-        outcomes = product(*_outcome_choices(combination))
-        if skip:
-            outcomes = islice(outcomes, skip, None)
-            skip = 0
-        # Per-combination item template: everything except the read values
-        # is outcome-independent (2-tuples mark reads awaiting a value), so
-        # the inner loop only fills values instead of rebuilding the shape.
-        templates = _item_templates(combination)
-        for outcome in outcomes:
-            test_index += 1
-            position = 0
-            threads = []
-            for template in templates:
-                row = []
-                for item in template:
-                    if len(item) == 2:
-                        row.append(("R", item[1], outcome[position]))
-                        position += 1
-                    else:
-                        row.append(item)
-                threads.append(tuple(row))
-            yield f"N{test_index}", tuple(threads)
+    for templates, choices in plan.blocks(first):
+        yield templates, choices, skip
+        skip = 0
+
+
+def block_items(
+    templates: Tuple[Tuple[Tuple, ...], ...], choices: Sequence[Sequence[int]], index: int
+) -> Tuple[Tuple[Tuple[str, object, object], ...], ...]:
+    """The items of outcome ``index`` of a block, in ``product`` order."""
+    outcome = [0] * len(choices)
+    for position in range(len(choices) - 1, -1, -1):
+        index, digit = divmod(index, len(choices[position]))
+        outcome[position] = choices[position][digit]
+    return _fill_items(templates, outcome)
+
+
+def _fill_items(
+    templates: Tuple[Tuple[Tuple, ...], ...], outcome: Sequence[int]
+) -> Tuple[Tuple[Tuple[str, object, object], ...], ...]:
+    """Fill the read values of an outcome into a block's item templates."""
+    position = 0
+    threads = []
+    for template in templates:
+        row = []
+        for item in template:
+            if len(item) == 2:
+                row.append(("R", item[1], outcome[position]))
+                position += 1
+            else:
+                row.append(item)
+        threads.append(tuple(row))
+    return tuple(threads)
 
 
 def enumerate_canonical_naive_items(
@@ -382,10 +401,9 @@ def test_from_items(
 ) -> LitmusTest:
     """Materialise one enumerated test from its abstract items.
 
-    Equal to what :func:`_build_test` constructs at the same enumeration
-    point: the abstract items already carry the thread-major write
-    numbering and the outcome values in read order, so the rebuild is a
-    straight transliteration (shared with the canonicalizer's
+    The abstract items already carry the thread-major write numbering and
+    the outcome values in read order, so the rebuild is a straight
+    transliteration (shared with the canonicalizer's
     :func:`~repro.pipeline.canonical.build_canonical_test`).
     """
     from repro.pipeline.canonical import build_canonical_test
@@ -393,66 +411,29 @@ def test_from_items(
     return build_canonical_test(items, name, description="naive enumeration")
 
 
-def _item_templates(
-    thread_shapes: Sequence[_ThreadShape],
-) -> Tuple[Tuple[Tuple, ...], ...]:
-    """Outcome-independent item rows of a shape combination.
+#: The item of a fence (outcome-independent, shared by every row).
+_FENCE_ITEM = ("F", "full", 0)
 
-    Writes are numbered per location in thread-major order (as in
-    :func:`_build_test`); a 2-tuple ``("R", location)`` marks a read whose
-    value the caller fills from the outcome, in thread-major read order.
+
+def _thread_template(
+    shape: _ThreadShape, counts: Tuple[int, ...]
+) -> Tuple[Tuple[Tuple, ...], Tuple[int, ...]]:
+    """One thread's outcome-independent item row, and the per-location
+    write counts after it, given the counts of the threads before it.
+
+    Writes are numbered ``1..k`` per location in thread-major order; a
+    2-tuple ``("R", location)`` marks a read whose value the caller fills
+    from the outcome, in thread-major read order.
     """
-    write_values: Dict[Tuple[int, int], int] = {}
-    counter: Dict[int, int] = {}
-    for thread_index, (accesses, _fences) in enumerate(thread_shapes):
-        for access_index, (kind, location) in enumerate(accesses):
-            if kind == "W":
-                counter[location] = counter.get(location, 0) + 1
-                write_values[(thread_index, access_index)] = counter[location]
-    rows = []
-    for thread_index, (accesses, fences) in enumerate(thread_shapes):
-        row: List[Tuple] = []
-        for access_index, (kind, location) in enumerate(accesses):
-            if access_index > 0 and fences[access_index - 1]:
-                row.append(("F", "full", 0))
-            if kind == "R":
-                row.append(("R", location))
-            else:
-                row.append(("W", location, write_values[(thread_index, access_index)]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _build_test(
-    thread_shapes: Sequence[_ThreadShape], outcome: Sequence[int], name: str
-) -> LitmusTest:
-    threads: List[Thread] = []
-    read_values: Dict[Tuple[int, int], int] = {}
-    outcome_iter = iter(outcome)
-    write_counter: Dict[int, int] = {}
-
-    # First pass for write values (must match _outcome_choices numbering).
-    write_values: Dict[Tuple[int, int], int] = {}
-    for thread_index, (accesses, _fences) in enumerate(thread_shapes):
-        for access_index, (kind, location) in enumerate(accesses):
-            if kind == "W":
-                write_counter[location] = write_counter.get(location, 0) + 1
-                write_values[(thread_index, access_index)] = write_counter[location]
-
-    for thread_index, (accesses, fences) in enumerate(thread_shapes):
-        instructions: List[Instruction] = []
-        register_serial = 0
-        for access_index, (kind, location) in enumerate(accesses):
-            if access_index > 0 and fences[access_index - 1]:
-                instructions.append(Fence())
-            location_label = location_name(location)
-            if kind == "R":
-                register = f"r{thread_index + 1}{register_serial}"
-                register_serial += 1
-                instructions.append(Load(register, location_label))
-                read_values[(thread_index, len(instructions) - 1)] = next(outcome_iter)
-            else:
-                instructions.append(Store(location_label, write_values[(thread_index, access_index)]))
-        threads.append(Thread(f"T{thread_index + 1}", instructions))
-
-    return LitmusTest(name, Program(threads), read_values, description="naive enumeration")
+    accesses, fences = shape
+    now = list(counts)
+    row: List[Tuple] = []
+    for access_index, (kind, location) in enumerate(accesses):
+        if access_index > 0 and fences[access_index - 1]:
+            row.append(_FENCE_ITEM)
+        if kind == "R":
+            row.append(("R", location))
+        else:
+            now[location] += 1
+            row.append(("W", location, now[location]))
+    return tuple(row), tuple(now)

@@ -24,6 +24,21 @@
  *                     word universe, atoms supplied as precomputed
  *                     little-endian word buffers.
  *   bench_reach    -- reachability add/undo micro-benchmark hook.
+ *   Profiler       -- the adaptive pipeline's range profiler, built once
+ *                     per process from an AdaptiveSpace's pair tables
+ *                     (repro.pipeline.adaptive.NativeProfiler).
+ *                     profile_block walks one shape combination's outcomes
+ *                     in itertools.product order and, per test, mirrors
+ *                     AdaptiveSpace.profile (repro/pipeline/adaptive.py):
+ *                     the R4/R2/R1 erasures to a fixpoint with conduit
+ *                     marking, per-thread forced-edge closure signatures
+ *                     memoised by reduced-thread structure, and the
+ *                     first-use relabelling minimised over thread orders.
+ *                     Each test gets a dense profile id from a key table
+ *                     held here; ids new to the table come back with
+ *                     repr(profile), so the Python side digests each
+ *                     profile once.  The Python profiler stays the
+ *                     reference (tests/pipeline/test_native_profiler.py).
  *
  * Bitsets are little-endian arrays of 64-bit words: bit i lives in word
  * i >> 6 at position i & 63, byte-identical to int.to_bytes(.., "little").
@@ -845,6 +860,1049 @@ kernelmod_atom_masks(PyObject *module, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
+/* the native range profiler                                           */
+/* ------------------------------------------------------------------ */
+
+/* Profiler mirrors AdaptiveSpace.profile (repro/pipeline/adaptive.py)
+ * over the enumeration's item encoding.  Per test: the R4/R2/R1 erasures
+ * to a fixpoint over per-thread windows, conduit marking, one interned
+ * signature per thread (memoised by the reduced thread's structure), and
+ * the minimum over thread orders of the first-use relabelled profile.
+ *
+ * Every comparison the Python reference makes on nested tuples is made
+ * here with memcmp on an order-preserving, prefix-free byte encoding:
+ *
+ *   row        -- (kind + 1, loc + 1, value + 1) per retained access
+ *                 (kind R = 0, W = 1, as "R" < "W"), then 0;
+ *   signature  -- per (mask, projected edges) group in mask order: 1, the
+ *                 mask as big-endian words, (i + 1, j + 1) per edge, 0;
+ *                 then a final 0.
+ *
+ * A candidate thread order encodes as row + signature per thread; all
+ * candidates of one test have the same length, so memcmp orders them as
+ * Python orders the Profile tuples.  The chosen profile is keyed by its
+ * rows plus interned signature ids, and the profile table hands out dense
+ * ids in first-seen order. */
+
+#define PF_MAXEV 8     /* events per thread */
+#define PF_MAXT 8      /* threads per test */
+#define PF_MAXLOC 16   /* locations */
+#define PF_MAXVAL 64   /* values per location (a uint64 set) */
+#define PF_R 0
+#define PF_W 1
+#define PF_F 2
+
+/* byte string -> dense id (plus one int32 value per id, -1 until set),
+ * open addressing over one key arena */
+typedef struct {
+    uint8_t *arena;
+    int64_t arena_len, arena_cap;
+    int64_t *key_off;
+    int32_t *key_len;
+    uint64_t *key_hash;
+    int32_t *value;
+    int32_t count, entry_cap;
+    int32_t *slots;    /* id, or -1 when empty */
+    int64_t mask;      /* slot count - 1 */
+} KeyTable;
+
+static uint64_t
+fnv1a(const uint8_t *data, int32_t len)
+{
+    uint64_t h = 1469598103934665603ULL;
+    int32_t i;
+    for (i = 0; i < len; i++) {
+        h ^= data[i];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+static int
+kt_init(KeyTable *t)
+{
+    memset(t, 0, sizeof(*t));
+    t->mask = 1023;
+    t->slots = PyMem_Malloc((size_t)(t->mask + 1) * sizeof(int32_t));
+    if (t->slots == NULL)
+        return 0;
+    memset(t->slots, 0xff, (size_t)(t->mask + 1) * sizeof(int32_t));
+    return 1;
+}
+
+static void
+kt_free(KeyTable *t)
+{
+    PyMem_Free(t->arena);
+    PyMem_Free(t->key_off);
+    PyMem_Free(t->key_len);
+    PyMem_Free(t->key_hash);
+    PyMem_Free(t->value);
+    PyMem_Free(t->slots);
+    memset(t, 0, sizeof(*t));
+}
+
+static const uint8_t *
+kt_key(const KeyTable *t, int32_t id, int32_t *len)
+{
+    *len = t->key_len[id];
+    return t->arena + t->key_off[id];
+}
+
+static int
+kt_rehash(KeyTable *t)
+{
+    int64_t mask = (t->mask + 1) * 2 - 1;
+    int32_t *slots = PyMem_Malloc((size_t)(mask + 1) * sizeof(int32_t));
+    int32_t id;
+    if (slots == NULL)
+        return 0;
+    memset(slots, 0xff, (size_t)(mask + 1) * sizeof(int32_t));
+    for (id = 0; id < t->count; id++) {
+        int64_t s = (int64_t)(t->key_hash[id] & (uint64_t)mask);
+        while (slots[s] >= 0)
+            s = (s + 1) & mask;
+        slots[s] = id;
+    }
+    PyMem_Free(t->slots);
+    t->slots = slots;
+    t->mask = mask;
+    return 1;
+}
+
+/* The id of key, added when new (*added = 1); -1 on allocation failure. */
+static int32_t
+kt_intern(KeyTable *t, const uint8_t *key, int32_t len, int *added)
+{
+    uint64_t h = fnv1a(key, len);
+    int64_t s = (int64_t)(h & (uint64_t)t->mask);
+    int32_t id;
+
+    *added = 0;
+    while ((id = t->slots[s]) >= 0) {
+        if (t->key_hash[id] == h && t->key_len[id] == len &&
+            memcmp(t->arena + t->key_off[id], key, (size_t)len) == 0)
+            return id;
+        s = (s + 1) & t->mask;
+    }
+    if (t->count == t->entry_cap) {
+        int32_t cap = t->entry_cap ? t->entry_cap * 2 : 256;
+        int64_t *off = PyMem_Realloc(t->key_off, (size_t)cap * sizeof(int64_t));
+        int32_t *lens, *values;
+        uint64_t *hashes;
+        if (off == NULL)
+            return -1;
+        t->key_off = off;
+        lens = PyMem_Realloc(t->key_len, (size_t)cap * sizeof(int32_t));
+        if (lens == NULL)
+            return -1;
+        t->key_len = lens;
+        hashes = PyMem_Realloc(t->key_hash, (size_t)cap * sizeof(uint64_t));
+        if (hashes == NULL)
+            return -1;
+        t->key_hash = hashes;
+        values = PyMem_Realloc(t->value, (size_t)cap * sizeof(int32_t));
+        if (values == NULL)
+            return -1;
+        t->value = values;
+        t->entry_cap = cap;
+    }
+    if (t->arena_len + len > t->arena_cap) {
+        int64_t cap = t->arena_cap ? t->arena_cap * 2 : 4096;
+        uint8_t *arena;
+        while (cap < t->arena_len + len)
+            cap *= 2;
+        arena = PyMem_Realloc(t->arena, (size_t)cap);
+        if (arena == NULL)
+            return -1;
+        t->arena = arena;
+        t->arena_cap = cap;
+    }
+    memcpy(t->arena + t->arena_len, key, (size_t)len);
+    id = t->count++;
+    t->key_off[id] = t->arena_len;
+    t->key_len[id] = len;
+    t->key_hash[id] = h;
+    t->value[id] = -1;
+    t->arena_len += len;
+    t->slots[s] = id;
+    if ((int64_t)t->count * 2 > t->mask + 1 && !kt_rehash(t))
+        return -1;
+    *added = 1;
+    return id;
+}
+
+typedef struct {
+    PyObject_HEAD
+    int num_models;
+    int nwords;
+    uint64_t *table;       /* 18 pair labels of nwords words each */
+    KeyTable structs;      /* reduced-thread structure -> (value) signature id */
+    KeyTable sigs;         /* signature encoding -> signature id */
+    PyObject *sig_cache;   /* list: per signature id, None or (tuple, repr bytes) */
+    PyObject *accesses[2][PF_MAXLOC][PF_MAXVAL]; /* (kind, loc, value) */
+    char *text;            /* repr buffer */
+    Py_ssize_t text_cap;
+    KeyTable profiles;     /* profile key -> profile id */
+    int32_t reported;      /* ids already handed out by profile_block */
+    PyObject *kinds[2];    /* "R", "W" */
+    uint8_t *buf[2];       /* candidate encodings (best, current) */
+    int64_t buf_cap;
+} ProfilerObject;
+
+/* One test, as the walk fills it in. */
+typedef struct {
+    int nthreads;
+    int len[PF_MAXT];
+    int8_t kind[PF_MAXT][PF_MAXEV];
+    int8_t loc[PF_MAXT][PF_MAXEV];
+    int8_t val[PF_MAXT][PF_MAXEV];
+} PfTest;
+
+static void
+Profiler_dealloc(ProfilerObject *self)
+{
+    int32_t i;
+    PyMem_Free(self->table);
+    kt_free(&self->structs);
+    kt_free(&self->sigs);
+    kt_free(&self->profiles);
+    Py_XDECREF(self->sig_cache);
+    for (i = 0; i < 2 * PF_MAXLOC * PF_MAXVAL; i++)
+        Py_XDECREF((&self->accesses[0][0][0])[i]);
+    PyMem_Free(self->text);
+    Py_XDECREF(self->kinds[0]);
+    Py_XDECREF(self->kinds[1]);
+    PyMem_Free(self->buf[0]);
+    PyMem_Free(self->buf[1]);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static int
+Profiler_init(ProfilerObject *self, PyObject *args, PyObject *kwds)
+{
+    int num_models;
+    PyObject *table_b;
+    if (kwds != NULL && PyDict_Size(kwds) != 0) {
+        PyErr_SetString(PyExc_TypeError, "Profiler takes no keyword arguments");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(args, "iS", &num_models, &table_b))
+        return -1;
+    if (self->table != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Profiler is already initialised");
+        return -1;
+    }
+    if (num_models < 1) {
+        PyErr_SetString(PyExc_ValueError, "Profiler: need at least one model");
+        return -1;
+    }
+    self->num_models = num_models;
+    self->nwords = (num_models + 63) >> 6;
+    self->table = copy_bytes(table_b, (Py_ssize_t)18 * self->nwords * 8,
+                             "Profiler table");
+    if (self->table == NULL)
+        return -1;
+    self->kinds[0] = PyUnicode_InternFromString("R");
+    self->kinds[1] = PyUnicode_InternFromString("W");
+    self->sig_cache = PyList_New(0);
+    if (self->kinds[0] == NULL || self->kinds[1] == NULL || self->sig_cache == NULL)
+        return -1;
+    if (!kt_init(&self->structs) || !kt_init(&self->sigs) ||
+        !kt_init(&self->profiles)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+static int
+mask_cmp(const uint64_t *a, const uint64_t *b, int nwords)
+{
+    int w;
+    for (w = nwords - 1; w >= 0; w--) {
+        if (a[w] != b[w])
+            return a[w] < b[w] ? -1 : 1;
+    }
+    return 0;
+}
+
+/* The signature id of one reduced thread (AdaptiveSpace._thread_profile):
+ * models grouped by their forced-edge vector over the thread's pairs, each
+ * group's edges transitively closed and projected onto the retained
+ * events, groups with equal projections merged.  -1 with an exception set
+ * on failure. */
+static int32_t
+pf_signature(ProfilerObject *self, int n, const int8_t *kind,
+             const int8_t *locid, const int8_t *retained)
+{
+    const int nwords = self->nwords, nm = self->num_models;
+    uint64_t key = (uint64_t)n;
+    int32_t slot;
+    int pi[PF_MAXEV * PF_MAXEV], pj[PF_MAXEV * PF_MAXEV];
+    const uint64_t *label[PF_MAXEV * PF_MAXEV];
+    int npairs = 0, ngroups = 0, nmerged = 0, i, j, p, g, m;
+    int remap[PF_MAXEV];
+    uint32_t *gkey = NULL;
+    uint64_t *gmask = NULL, *mmask = NULL;
+    uint8_t *medges = NULL, *enc = NULL;
+    int *mlen = NULL, *order = NULL;
+    int32_t sig = -1;
+    int64_t len = 0;
+    int added;
+    const int maxedges = PF_MAXEV * (PF_MAXEV - 1) / 2;
+
+    for (i = 0; i < n; i++)
+        key |= (uint64_t)(kind[i] | retained[i] << 2 | locid[i] << 3)
+               << (4 + 7 * i);
+    slot = kt_intern(&self->structs, (const uint8_t *)&key, sizeof(key), &added);
+    if (slot < 0) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    if (self->structs.value[slot] >= 0)
+        return self->structs.value[slot];
+
+    for (i = 0; i < n; i++) {
+        for (j = i + 1; j < n; j++) {
+            int same = kind[i] != PF_F && kind[j] != PF_F && locid[i] == locid[j];
+            pi[npairs] = i;
+            pj[npairs] = j;
+            label[npairs] = self->table + ((kind[i] * 3 + kind[j]) * 2 + same) * nwords;
+            npairs++;
+        }
+    }
+    gkey = PyMem_Malloc((size_t)nm * sizeof(uint32_t));
+    gmask = PyMem_Calloc((size_t)nm * nwords, sizeof(uint64_t));
+    mmask = PyMem_Calloc((size_t)nm * nwords, sizeof(uint64_t));
+    medges = PyMem_Malloc((size_t)nm * maxedges * 2);
+    mlen = PyMem_Malloc((size_t)nm * sizeof(int));
+    order = PyMem_Malloc((size_t)nm * sizeof(int));
+    enc = PyMem_Malloc((size_t)nm * (2 + nwords * 8 + maxedges * 2) + 1);
+    if (!gkey || !gmask || !mmask || !medges || !mlen || !order || !enc) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* Group the models by their per-pair forced-edge vector. */
+    for (m = 0; m < nm; m++) {
+        uint32_t vector = 0;
+        for (p = 0; p < npairs; p++) {
+            if ((label[p][m >> 6] >> (m & 63)) & 1)
+                vector |= (uint32_t)1 << p;
+        }
+        for (g = 0; g < ngroups && gkey[g] != vector; g++)
+            ;
+        if (g == ngroups)
+            gkey[ngroups++] = vector;
+        gmask[g * nwords + (m >> 6)] |= (uint64_t)1 << (m & 63);
+    }
+    for (i = 0, j = 0; i < n; i++)
+        remap[i] = retained[i] ? j++ : -1;
+    /* Per group: close the forced edges, project, merge equal projections. */
+    for (g = 0; g < ngroups; g++) {
+        uint32_t reach[PF_MAXEV];
+        uint8_t edges[PF_MAXEV * (PF_MAXEV - 1)];
+        int nedges = 0, k;
+        for (i = 0; i < n; i++)
+            reach[i] = 0;
+        for (p = 0; p < npairs; p++) {
+            if ((gkey[g] >> p) & 1)
+                reach[pi[p]] |= (uint32_t)1 << pj[p];
+        }
+        for (i = n - 1; i >= 0; i--) {
+            uint32_t closed = reach[i];
+            for (j = i + 1; j < n; j++) {
+                if ((reach[i] >> j) & 1)
+                    closed |= reach[j];
+            }
+            reach[i] = closed;
+        }
+        for (i = 0; i < n; i++) {
+            if (remap[i] < 0)
+                continue;
+            for (j = i + 1; j < n; j++) {
+                if (remap[j] >= 0 && ((reach[i] >> j) & 1)) {
+                    edges[nedges * 2] = (uint8_t)remap[i];
+                    edges[nedges * 2 + 1] = (uint8_t)remap[j];
+                    nedges++;
+                }
+            }
+        }
+        for (k = 0; k < nmerged; k++) {
+            if (mlen[k] == nedges &&
+                memcmp(medges + (size_t)k * maxedges * 2, edges, (size_t)nedges * 2) == 0)
+                break;
+        }
+        if (k == nmerged) {
+            mlen[k] = nedges;
+            memcpy(medges + (size_t)k * maxedges * 2, edges, (size_t)nedges * 2);
+            nmerged++;
+        }
+        for (i = 0; i < nwords; i++)
+            mmask[k * nwords + i] |= gmask[g * nwords + i];
+    }
+    /* The signature lists the merged groups in mask order (the masks are
+     * disjoint, so no two are equal). */
+    for (g = 0; g < nmerged; g++) {
+        int at = g;
+        while (at > 0 && mask_cmp(mmask + order[at - 1] * nwords,
+                                  mmask + g * nwords, nwords) > 0) {
+            order[at] = order[at - 1];
+            at--;
+        }
+        order[at] = g;
+    }
+    for (g = 0; g < nmerged; g++) {
+        int k = order[g], w, b;
+        enc[len++] = 1;
+        for (w = nwords - 1; w >= 0; w--) {
+            for (b = 7; b >= 0; b--)
+                enc[len++] = (uint8_t)(mmask[k * nwords + w] >> (8 * b));
+        }
+        for (i = 0; i < mlen[k] * 2; i++)
+            enc[len++] = (uint8_t)(medges[(size_t)k * maxedges * 2 + i] + 1);
+        enc[len++] = 0;
+    }
+    enc[len++] = 0;
+    sig = kt_intern(&self->sigs, enc, (int32_t)len, &added);
+    if (sig < 0)
+        PyErr_NoMemory();
+    else
+        self->structs.value[slot] = sig;
+done:
+    PyMem_Free(gkey);
+    PyMem_Free(gmask);
+    PyMem_Free(mmask);
+    PyMem_Free(medges);
+    PyMem_Free(mlen);
+    PyMem_Free(order);
+    PyMem_Free(enc);
+    return sig;
+}
+
+/* The Python signature tuple of a signature id and its repr as bytes: a
+ * borrowed (tuple, bytes) pair, built on first use. */
+static PyObject *
+pf_signature_entry(ProfilerObject *self, int32_t sig)
+{
+    const uint8_t *enc;
+    int32_t len, pos = 0;
+    PyObject *groups, *tuple = NULL, *text = NULL, *entry = NULL;
+    const int nbytes = self->nwords * 8;
+
+    while (PyList_GET_SIZE(self->sig_cache) <= sig) {
+        if (PyList_Append(self->sig_cache, Py_None) < 0)
+            return NULL;
+    }
+    entry = PyList_GET_ITEM(self->sig_cache, sig);
+    if (entry != Py_None)
+        return entry;
+    entry = NULL;
+    enc = kt_key(&self->sigs, sig, &len);
+    groups = PyList_New(0);
+    if (groups == NULL)
+        return NULL;
+    while (enc[pos] == 1) {
+        PyObject *mask, *edges, *group;
+        int start, k;
+        pos++;
+        mask = PyObject_CallMethod((PyObject *)&PyLong_Type, "from_bytes",
+                                   "y#s", (const char *)enc + pos,
+                                   (Py_ssize_t)nbytes, "big");
+        pos += nbytes;
+        start = pos;
+        while (enc[pos] != 0)
+            pos += 2;
+        edges = PyTuple_New((pos - start) / 2);
+        if (mask == NULL || edges == NULL) {
+            Py_XDECREF(mask);
+            Py_XDECREF(edges);
+            goto fail;
+        }
+        for (k = 0; start + 2 * k < pos; k++) {
+            PyObject *edge = Py_BuildValue("(ii)", enc[start + 2 * k] - 1,
+                                           enc[start + 2 * k + 1] - 1);
+            if (edge == NULL) {
+                Py_DECREF(mask);
+                Py_DECREF(edges);
+                goto fail;
+            }
+            PyTuple_SET_ITEM(edges, k, edge);
+        }
+        pos++;
+        group = PyTuple_Pack(2, mask, edges);
+        Py_DECREF(mask);
+        Py_DECREF(edges);
+        if (group == NULL || PyList_Append(groups, group) < 0) {
+            Py_XDECREF(group);
+            goto fail;
+        }
+        Py_DECREF(group);
+    }
+    tuple = PyList_AsTuple(groups);
+    if (tuple != NULL) {
+        PyObject *repr = PyObject_Repr(tuple);
+        if (repr != NULL)
+            text = PyUnicode_AsASCIIString(repr);
+        Py_XDECREF(repr);
+    }
+    if (text != NULL)
+        entry = PyTuple_Pack(2, tuple, text);
+    if (entry != NULL && PyList_SetItem(self->sig_cache, sig, entry) < 0)
+        entry = NULL;
+fail:
+    Py_DECREF(groups);
+    Py_XDECREF(tuple);
+    Py_XDECREF(text);
+    return entry;
+}
+
+/* The Profile tuple AdaptiveSpace.profile returns, rebuilt from its key. */
+static PyObject *
+pf_profile_object(ProfilerObject *self, int32_t id)
+{
+    int32_t len, pos = 1;
+    const uint8_t *key = kt_key(&self->profiles, id, &len);
+    int t, nthreads = key[0];
+    PyObject *profile = PyTuple_New(nthreads);
+
+    if (profile == NULL)
+        return NULL;
+    for (t = 0; t < nthreads; t++) {
+        int start = pos, k;
+        int32_t sig;
+        PyObject *row, *sigobj, *thread;
+        while (key[pos] != 0)
+            pos += 3;
+        row = PyTuple_New((pos - start) / 3);
+        if (row == NULL)
+            goto fail;
+        for (k = 0; start + 3 * k < pos; k++) {
+            const uint8_t *triple = key + start + 3 * k;
+            PyObject **access =
+                &self->accesses[triple[0] - 1][triple[1] - 1][triple[2] - 1];
+            if (*access == NULL) {
+                *access = Py_BuildValue("(Oii)", self->kinds[triple[0] - 1],
+                                        triple[1] - 1, triple[2] - 1);
+                if (*access == NULL) {
+                    Py_DECREF(row);
+                    goto fail;
+                }
+            }
+            Py_INCREF(*access);
+            PyTuple_SET_ITEM(row, k, *access);
+        }
+        pos++;
+        memcpy(&sig, key + pos, 4);
+        pos += 4;
+        sigobj = pf_signature_entry(self, sig);
+        if (sigobj == NULL) {
+            Py_DECREF(row);
+            goto fail;
+        }
+        thread = PyTuple_Pack(2, row, PyTuple_GET_ITEM(sigobj, 0));
+        Py_DECREF(row);
+        if (thread == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(profile, t, thread);
+    }
+    return profile;
+fail:
+    Py_DECREF(profile);
+    return NULL;
+}
+
+static int
+pf_text_put(ProfilerObject *self, Py_ssize_t *len, const char *data, Py_ssize_t size)
+{
+    if (*len + size > self->text_cap) {
+        Py_ssize_t cap = self->text_cap ? self->text_cap : 1024;
+        char *grown;
+        while (cap < *len + size)
+            cap *= 2;
+        grown = PyMem_Realloc(self->text, (size_t)cap);
+        if (grown == NULL) {
+            PyErr_NoMemory();
+            return 0;
+        }
+        self->text = grown;
+        self->text_cap = cap;
+    }
+    memcpy(self->text + *len, data, (size_t)size);
+    *len += size;
+    return 1;
+}
+
+/* repr() of a profile id's Profile tuple, as bytes, written straight from
+ * its key (each signature's repr comes from Python, once). */
+static PyObject *
+pf_profile_text(ProfilerObject *self, int32_t id)
+{
+    int32_t keylen, pos = 1;
+    const uint8_t *key = kt_key(&self->profiles, id, &keylen);
+    int t, k, nthreads = key[0];
+    Py_ssize_t len = 0;
+    char item[64];
+
+    if (!pf_text_put(self, &len, "(", 1))
+        return NULL;
+    for (t = 0; t < nthreads; t++) {
+        int start = pos, count;
+        int32_t sig;
+        PyObject *sigtext;
+        while (key[pos] != 0)
+            pos += 3;
+        count = (pos - start) / 3;
+        if (!pf_text_put(self, &len, t ? ", ((" : "((", t ? 4 : 2))
+            return NULL;
+        for (k = 0; k < count; k++) {
+            const uint8_t *triple = key + start + 3 * k;
+            int size = snprintf(item, sizeof(item), "%s('%c', %d, %d)",
+                                k ? ", " : "", triple[0] == 1 ? 'R' : 'W',
+                                triple[1] - 1, triple[2] - 1);
+            if (!pf_text_put(self, &len, item, size))
+                return NULL;
+        }
+        if (!pf_text_put(self, &len, count == 1 ? ",), " : "), ", count == 1 ? 4 : 3))
+            return NULL;
+        pos++;
+        memcpy(&sig, key + pos, 4);
+        pos += 4;
+        sigtext = pf_signature_entry(self, sig);
+        if (sigtext == NULL)
+            return NULL;
+        sigtext = PyTuple_GET_ITEM(sigtext, 1);
+        if (!pf_text_put(self, &len, PyBytes_AS_STRING(sigtext), PyBytes_GET_SIZE(sigtext)) ||
+            !pf_text_put(self, &len, ")", 1))
+            return NULL;
+    }
+    if (!pf_text_put(self, &len, nthreads == 1 ? ",)" : ")", nthreads == 1 ? 2 : 1))
+        return NULL;
+    return PyBytes_FromStringAndSize(self->text, len);
+}
+
+static int
+pf_reserve(ProfilerObject *self, int64_t need)
+{
+    int i;
+    if (need <= self->buf_cap)
+        return 1;
+    for (i = 0; i < 2; i++) {
+        uint8_t *grown = PyMem_Realloc(self->buf[i], (size_t)need);
+        if (grown == NULL)
+            return 0;
+        self->buf[i] = grown;
+    }
+    self->buf_cap = need;
+    return 1;
+}
+
+/* First-use relabelling of the retained accesses in thread order `order`
+ * (_relabel_threads): rows of (kind + 1, loc + 1, value + 1) triples, each
+ * row closed by 0 and followed by the thread's signature encoding
+ * (with_sigs) or its 4-byte signature id.  Returns the length written. */
+static int64_t
+pf_encode(ProfilerObject *self, const PfTest *kept, const int32_t *sig,
+          const int *order, int nkept, int with_sigs, uint8_t *out)
+{
+    int8_t loc_id[PF_MAXLOC];
+    int8_t seen_vals[PF_MAXLOC][PF_MAXT * PF_MAXEV];
+    int nvals[PF_MAXLOC];
+    int nlocs = 0, k, e;
+    int64_t len = 0;
+
+    memset(loc_id, -1, sizeof(loc_id));
+    for (k = 0; k < nkept; k++) {
+        int t = order[k];
+        for (e = 0; e < kept->len[t]; e++) {
+            int loc = kept->loc[t][e], val = kept->val[t][e], id, v = 0;
+            if (loc_id[loc] < 0) {
+                loc_id[loc] = (int8_t)nlocs;
+                nvals[nlocs++] = 0;
+            }
+            id = loc_id[loc];
+            if (val != 0) {
+                for (v = 0; v < nvals[id] && seen_vals[id][v] != val; v++)
+                    ;
+                if (v == nvals[id])
+                    seen_vals[id][nvals[id]++] = (int8_t)val;
+                v++;
+            }
+            out[len++] = (uint8_t)(kept->kind[t][e] + 1);
+            out[len++] = (uint8_t)(id + 1);
+            out[len++] = (uint8_t)(v + 1);
+        }
+        out[len++] = 0;
+        if (with_sigs) {
+            int32_t siglen;
+            const uint8_t *enc = kt_key(&self->sigs, sig[t], &siglen);
+            memcpy(out + len, enc, (size_t)siglen);
+            len += siglen;
+        } else {
+            memcpy(out + len, &sig[t], 4);
+            len += 4;
+        }
+    }
+    return len;
+}
+
+/* The profile id of one test; -1 with an exception set on failure. */
+static int32_t
+pf_profile_test(ProfilerObject *self, const PfTest *test, int *added)
+{
+    int lo[PF_MAXT], hi[PF_MAXT], alive[PF_MAXT];
+    int nalive = test->nthreads, t, k, e, changed;
+    uint64_t writes[PF_MAXLOC], reads[PF_MAXLOC];
+    PfTest kept;
+    int32_t sig[PF_MAXT];
+    int order[PF_MAXT], best[PF_MAXT], c[PF_MAXT];
+    int nkept = 0, i;
+    int64_t need, len;
+    uint8_t *cand, *top;
+
+    for (t = 0; t < nalive; t++) {
+        alive[t] = t;
+        lo[t] = 0;
+        hi[t] = test->len[t];
+    }
+    /* R4/R2/R1 to a fixpoint (reduce_core): each pass reads the write and
+     * read sets as they stood when it began. */
+    do {
+        int next = 0;
+        changed = 0;
+        memset(writes, 0, sizeof(writes));
+        memset(reads, 0, sizeof(reads));
+        for (k = 0; k < nalive; k++) {
+            t = alive[k];
+            for (e = lo[t]; e < hi[t]; e++) {
+                if (test->kind[t][e] == PF_W)
+                    writes[(int)test->loc[t][e]] |= (uint64_t)1 << test->val[t][e];
+                else if (test->kind[t][e] == PF_R)
+                    reads[(int)test->loc[t][e]] |= (uint64_t)1 << test->val[t][e];
+            }
+        }
+        for (k = 0; k < nalive; k++) {
+            int first, last, fk, lk;
+            t = alive[k];
+            while (lo[t] < hi[t] && test->kind[t][lo[t]] == PF_F) {
+                lo[t]++;
+                changed = 1;
+            }
+            while (lo[t] < hi[t] && test->kind[t][hi[t] - 1] == PF_F) {
+                hi[t]--;
+                changed = 1;
+            }
+            if (lo[t] == hi[t]) {
+                changed = 1;
+                continue;
+            }
+            first = lo[t];
+            last = hi[t] - 1;
+            fk = test->kind[t][first];
+            lk = test->kind[t][last];
+            if (lk == PF_W &&
+                !((reads[(int)test->loc[t][last]] >> test->val[t][last]) & 1)) {
+                hi[t]--;
+                changed = 1;
+            } else if (fk == PF_W &&
+                       !((reads[(int)test->loc[t][first]] >> test->val[t][first]) & 1) &&
+                       !(reads[(int)test->loc[t][first]] & 1)) {
+                lo[t]++;
+                changed = 1;
+            } else if (fk == PF_R && test->val[t][first] == 0 &&
+                       writes[(int)test->loc[t][first]] == 0) {
+                lo[t]++;
+                changed = 1;
+            } else if (lk == PF_R && test->val[t][last] == 0 &&
+                       writes[(int)test->loc[t][last]] == 0) {
+                hi[t]--;
+                changed = 1;
+            }
+            if (lo[t] < hi[t])
+                alive[next++] = t;
+        }
+        nalive = next;
+    } while (changed);
+
+    /* Conduits, then one signature per thread; threads with no retained
+     * access drop out. */
+    memset(writes, 0, sizeof(writes));
+    for (k = 0; k < nalive; k++) {
+        t = alive[k];
+        for (e = lo[t]; e < hi[t]; e++) {
+            if (test->kind[t][e] == PF_W)
+                writes[(int)test->loc[t][e]] = 1;
+        }
+    }
+    need = 1;
+    for (k = 0; k < nalive; k++) {
+        int8_t kind[PF_MAXEV], locid[PF_MAXEV], retained[PF_MAXEV];
+        int8_t first_loc[PF_MAXLOC];
+        int n = 0, nlocid = 0, nret = 0;
+        int32_t siglen;
+        t = alive[k];
+        memset(first_loc, -1, sizeof(first_loc));
+        for (e = lo[t]; e < hi[t]; e++, n++) {
+            int ek = test->kind[t][e], loc = test->loc[t][e];
+            kind[n] = (int8_t)ek;
+            locid[n] = 0;
+            if (ek != PF_F) {
+                if (first_loc[loc] < 0)
+                    first_loc[loc] = (int8_t)nlocid++;
+                locid[n] = first_loc[loc];
+            }
+            retained[n] = !(ek == PF_F ||
+                            (ek == PF_R && test->val[t][e] == 0 && !writes[loc]));
+            if (retained[n]) {
+                kept.kind[nkept][nret] = (int8_t)ek;
+                kept.loc[nkept][nret] = (int8_t)loc;
+                kept.val[nkept][nret] = test->val[t][e];
+                nret++;
+            }
+        }
+        if (nret == 0)
+            continue;
+        sig[nkept] = pf_signature(self, n, kind, locid, retained);
+        if (sig[nkept] < 0)
+            return -1;
+        kt_key(&self->sigs, sig[nkept], &siglen);
+        kept.len[nkept] = nret;
+        need += 3 * nret + 1 + (siglen > 4 ? siglen : 4);
+        nkept++;
+    }
+    if (!pf_reserve(self, need)) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    /* The minimum over thread orders (Heap's algorithm visits them all). */
+    for (i = 0; i < nkept; i++) {
+        order[i] = best[i] = i;
+        c[i] = 0;
+    }
+    top = self->buf[0];
+    cand = self->buf[1];
+    len = nkept > 1 ? pf_encode(self, &kept, sig, order, nkept, 1, top) : 0;
+    i = 1;
+    while (i < nkept) {
+        if (c[i] < i) {
+            int swap = (i & 1) ? c[i] : 0, held = order[swap];
+            order[swap] = order[i];
+            order[i] = held;
+            pf_encode(self, &kept, sig, order, nkept, 1, cand);
+            if (memcmp(cand, top, (size_t)len) < 0) {
+                uint8_t *was = top;
+                top = cand;
+                cand = was;
+                memcpy(best, order, sizeof(int) * (size_t)nkept);
+            }
+            c[i]++;
+            i = 1;
+        } else {
+            c[i] = 0;
+            i++;
+        }
+    }
+    cand[0] = (uint8_t)nkept;
+    len = 1 + pf_encode(self, &kept, sig, best, nkept, 0, cand + 1);
+    {
+        int32_t id = kt_intern(&self->profiles, cand, (int32_t)len, added);
+        if (id < 0)
+            PyErr_NoMemory();
+        return id;
+    }
+}
+
+static long
+pf_item_int(PyObject *item, Py_ssize_t index, long limit, const char *what)
+{
+    long value = PyLong_AsLong(PyTuple_GET_ITEM(item, index));
+    if (value == -1 && PyErr_Occurred())
+        return -1;
+    if (value < 0 || value >= limit) {
+        PyErr_Format(PyExc_ValueError, "Profiler: %s %ld out of range", what, value);
+        return -1;
+    }
+    return value;
+}
+
+static PyObject *
+Profiler_profile_block(ProfilerObject *self, PyObject *args)
+{
+    PyObject *templates, *choices, *tseq = NULL, *cseq = NULL;
+    PyObject *ids = NULL, *fresh = NULL, *result = NULL;
+    Py_ssize_t skip, count, produced = 0, t, e, r;
+    PfTest test;
+    int slot_t[PF_MAXT * PF_MAXEV], slot_e[PF_MAXT * PF_MAXEV];
+    int radix[PF_MAXT * PF_MAXEV], digit[PF_MAXT * PF_MAXEV];
+    int8_t values[PF_MAXT * PF_MAXEV][PF_MAXVAL];
+    int nslots = 0, added;
+    int32_t id;
+
+    if (self->profiles.slots == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Profiler is not initialised");
+        return NULL;
+    }
+    if (!PyArg_ParseTuple(args, "OOnn", &templates, &choices, &skip, &count))
+        return NULL;
+    if (skip < 0 || count < 0) {
+        PyErr_SetString(PyExc_ValueError, "profile_block: negative skip or count");
+        return NULL;
+    }
+    tseq = PySequence_Fast(templates, "profile_block: templates must be a sequence");
+    if (tseq == NULL)
+        return NULL;
+    if (PySequence_Fast_GET_SIZE(tseq) > PF_MAXT) {
+        PyErr_SetString(PyExc_ValueError, "Profiler: too many threads");
+        goto done;
+    }
+    test.nthreads = (int)PySequence_Fast_GET_SIZE(tseq);
+    for (t = 0; t < test.nthreads; t++) {
+        PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(tseq, t),
+                                        "profile_block: a thread must be a sequence");
+        if (row == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(row) > PF_MAXEV) {
+            Py_DECREF(row);
+            PyErr_SetString(PyExc_ValueError, "Profiler: thread too long");
+            goto done;
+        }
+        test.len[t] = (int)PySequence_Fast_GET_SIZE(row);
+        for (e = 0; e < test.len[t]; e++) {
+            PyObject *item = PySequence_Fast_GET_ITEM(row, e), *kind;
+            Py_UCS4 ch = 0;
+            long loc = 0, val = 0;
+            Py_ssize_t size = PyTuple_Check(item) ? PyTuple_GET_SIZE(item) : 0;
+            if (size >= 2) {
+                kind = PyTuple_GET_ITEM(item, 0);
+                if (PyUnicode_Check(kind) && PyUnicode_GET_LENGTH(kind) == 1)
+                    ch = PyUnicode_READ_CHAR(kind, 0);
+            }
+            if (!((ch == 'F' && size == 3) || (ch == 'W' && size == 3) ||
+                  (ch == 'R' && (size == 2 || size == 3)))) {
+                Py_DECREF(row);
+                PyErr_SetString(PyExc_ValueError, "Profiler: malformed item");
+                goto done;
+            }
+            if (ch != 'F') {
+                loc = pf_item_int(item, 1, PF_MAXLOC, "location");
+                if (loc >= 0 && size == 3)
+                    val = pf_item_int(item, 2, PF_MAXVAL, "value");
+                if (loc < 0 || val < 0) {
+                    Py_DECREF(row);
+                    goto done;
+                }
+                if (size == 2) {
+                    slot_t[nslots] = (int)t;
+                    slot_e[nslots] = (int)e;
+                    nslots++;
+                }
+            }
+            test.kind[t][e] = ch == 'R' ? PF_R : ch == 'W' ? PF_W : PF_F;
+            test.loc[t][e] = (int8_t)loc;
+            test.val[t][e] = (int8_t)val;
+        }
+        Py_DECREF(row);
+    }
+    cseq = PySequence_Fast(choices, "profile_block: choices must be a sequence");
+    if (cseq == NULL)
+        goto done;
+    if (PySequence_Fast_GET_SIZE(cseq) != nslots) {
+        PyErr_SetString(PyExc_ValueError,
+                        "profile_block: one choice list per unvalued read");
+        goto done;
+    }
+    for (r = 0; r < nslots; r++) {
+        PyObject *options = PySequence_Fast(PySequence_Fast_GET_ITEM(cseq, r),
+                                            "profile_block: choices must be sequences");
+        Py_ssize_t k;
+        if (options == NULL)
+            goto done;
+        radix[r] = (int)PySequence_Fast_GET_SIZE(options);
+        if (radix[r] < 1 || radix[r] > PF_MAXVAL) {
+            Py_DECREF(options);
+            PyErr_SetString(PyExc_ValueError, "profile_block: bad choice list");
+            goto done;
+        }
+        for (k = 0; k < radix[r]; k++) {
+            long value = PyLong_AsLong(PySequence_Fast_GET_ITEM(options, k));
+            if (value < 0 || value >= PF_MAXVAL) {
+                Py_DECREF(options);
+                if (!PyErr_Occurred())
+                    PyErr_SetString(PyExc_ValueError, "Profiler: value out of range");
+                goto done;
+            }
+            values[r][k] = (int8_t)value;
+        }
+        Py_DECREF(options);
+    }
+    /* The outcome odometer, in itertools.product order (last read fastest),
+     * positioned at outcome `skip`. */
+    for (r = nslots - 1; r >= 0; r--) {
+        digit[r] = (int)(skip % radix[r]);
+        skip /= radix[r];
+    }
+    ids = PyList_New(0);
+    if (ids == NULL)
+        goto done;
+    while (skip == 0 && produced < count) {
+        PyObject *value;
+        for (r = 0; r < nslots; r++)
+            test.val[slot_t[r]][slot_e[r]] = values[r][digit[r]];
+        id = pf_profile_test(self, &test, &added);
+        if (id < 0)
+            goto done;
+        value = PyLong_FromLong(id);
+        if (value == NULL || PyList_Append(ids, value) < 0) {
+            Py_XDECREF(value);
+            goto done;
+        }
+        Py_DECREF(value);
+        produced++;
+        for (r = nslots - 1; r >= 0; r--) {
+            if (++digit[r] < radix[r])
+                break;
+            digit[r] = 0;
+        }
+        if (r < 0)
+            break;
+    }
+    fresh = PyList_New(0);
+    if (fresh == NULL)
+        goto done;
+    /* Every id not yet handed out, so a failed call loses none. */
+    for (id = self->reported; id < self->profiles.count; id++) {
+        PyObject *text = pf_profile_text(self, id);
+        if (text == NULL || PyList_Append(fresh, text) < 0) {
+            Py_XDECREF(text);
+            goto done;
+        }
+        Py_DECREF(text);
+    }
+    result = PyTuple_Pack(2, ids, fresh);
+    if (result != NULL)
+        self->reported = self->profiles.count;
+done:
+    Py_XDECREF(tseq);
+    Py_XDECREF(cseq);
+    Py_XDECREF(ids);
+    Py_XDECREF(fresh);
+    return result;
+}
+
+static PyObject *
+Profiler_profile(ProfilerObject *self, PyObject *args)
+{
+    int id;
+    if (!PyArg_ParseTuple(args, "i", &id))
+        return NULL;
+    if (id < 0 || id >= self->profiles.count) {
+        PyErr_SetString(PyExc_IndexError, "Profiler.profile: unknown profile id");
+        return NULL;
+    }
+    return pf_profile_object(self, id);
+}
+
+/* ------------------------------------------------------------------ */
 /* type and module boilerplate                                         */
 /* ------------------------------------------------------------------ */
 
@@ -870,6 +1928,30 @@ static PyTypeObject ProblemType = {
     .tp_new = PyType_GenericNew,
 };
 
+static PyMethodDef Profiler_methods[] = {
+    {"profile_block", (PyCFunction)Profiler_profile_block, METH_VARARGS,
+     "profile_block(templates, choices, skip, count) -> (ids, fresh)\n"
+     "Profile up to count outcomes of one shape combination, from outcome\n"
+     "skip on, in itertools.product order: the profile id of each test, and\n"
+     "repr(profile) as bytes for every id not handed out before, in id order."},
+    {"profile", (PyCFunction)Profiler_profile, METH_VARARGS,
+     "profile(id) -> the Profile tuple of a known profile id"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyTypeObject ProfilerType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.native._kernelmod.Profiler",
+    .tp_basicsize = sizeof(ProfilerObject),
+    .tp_dealloc = (destructor)Profiler_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Profiler(num_models, table_bytes): the adaptive range profiler\n"
+              "of one tabulated model space.",
+    .tp_methods = Profiler_methods,
+    .tp_init = (initproc)Profiler_init,
+    .tp_new = PyType_GenericNew,
+};
+
 static PyMethodDef kernelmod_methods[] = {
     {"bench_reach", kernelmod_bench_reach, METH_VARARGS,
      "bench_reach(n, edges_bytes, rounds) -> checksum (add/undo micro-bench)"},
@@ -891,7 +1973,7 @@ PyMODINIT_FUNC
 PyInit__kernelmod(void)
 {
     PyObject *module;
-    if (PyType_Ready(&ProblemType) < 0)
+    if (PyType_Ready(&ProblemType) < 0 || PyType_Ready(&ProfilerType) < 0)
         return NULL;
     module = PyModule_Create(&kernelmod_module);
     if (module == NULL)
@@ -899,6 +1981,12 @@ PyInit__kernelmod(void)
     Py_INCREF(&ProblemType);
     if (PyModule_AddObject(module, "Problem", (PyObject *)&ProblemType) < 0) {
         Py_DECREF(&ProblemType);
+        Py_DECREF(module);
+        return NULL;
+    }
+    Py_INCREF(&ProfilerType);
+    if (PyModule_AddObject(module, "Profiler", (PyObject *)&ProfilerType) < 0) {
+        Py_DECREF(&ProfilerType);
         Py_DECREF(module);
         return NULL;
     }

@@ -144,6 +144,7 @@ class AdaptiveSpace:
         self._row_memo: Dict[Tuple[Tuple[str, int, int], ...], Tuple] = {}
         self._profile_memo: Dict[Tuple[ThreadProfile, ...], Profile] = {}
         self._memo_cap = 1 << 20
+        self._native: Optional["NativeProfiler"] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -304,6 +305,12 @@ class AdaptiveSpace:
         self._profile_memo[memo_key] = result
         return result
 
+    def native_profiler(self) -> "NativeProfiler":
+        """This process's C profiler of the space, built on first use."""
+        if self._native is None:
+            self._native = NativeProfiler(self)
+        return self._native
+
     def groups(self, profile: Profile) -> List[int]:
         """The model partition a profiled test induces: the common refinement
         of the per-thread signature groups.  Verdicts are constant on each
@@ -319,6 +326,35 @@ class AdaptiveSpace:
                         refined.append(overlap)
             groups = refined
         return groups
+
+
+class NativeProfiler:
+    """The C twin of :meth:`AdaptiveSpace.profile`, for one process.
+
+    ``profiler`` is a ``_kernelmod.Profiler`` over the space's pair
+    tables.  ``profiler.profile_block`` reduces and keys whole shape
+    combinations of the raw stream (see
+    :func:`~repro.generation.enumeration.raw_naive_blocks`) and returns a
+    dense profile id per test, plus ``repr(profile)`` (as bytes) of every
+    id it hands out for the first time; ``profiler.profile(id)`` rebuilds
+    the exact :data:`Profile` tuple.  ``digests[id]`` is that profile's
+    :func:`profile_digest` (:func:`repr_digest` of the rendering); the
+    caller appends them as ids arrive.  The Python profile stays the
+    reference.
+    """
+
+    def __init__(self, space: AdaptiveSpace) -> None:
+        from repro.native import _kernelmod
+
+        width = 8 * ((space.num_models + 63) // 64)
+        table = b"".join(
+            space.tables.get((kind_x, kind_y, same), 0).to_bytes(width, "little")
+            for kind_x in _EVENT_KINDS
+            for kind_y in _EVENT_KINDS
+            for same in (False, True)
+        )
+        self.profiler = _kernelmod.Profiler(space.num_models, table)
+        self.digests: List[str] = []
 
 
 def _relabel_threads(
@@ -438,9 +474,15 @@ def profile_digest(profile: Profile) -> str:
     if digest is None:
         if len(_DIGEST_MEMO) >= _DIGEST_MEMO_CAP:
             _DIGEST_MEMO.clear()
-        digest = hashlib.sha256(repr(profile).encode("utf-8")).hexdigest()[:32]
+        digest = repr_digest(repr(profile).encode("utf-8"))
         _DIGEST_MEMO[profile] = digest
     return digest
+
+
+def repr_digest(rendered: bytes) -> str:
+    """:func:`profile_digest` of the profile whose ``repr`` is ``rendered``
+    (the C profiler renders it, see :class:`NativeProfiler`)."""
+    return hashlib.sha256(rendered).hexdigest()[:32]
 
 
 def audit_selected(digest: str, name: str, rate: float) -> bool:
@@ -449,8 +491,8 @@ def audit_selected(digest: str, name: str, rate: float) -> bool:
         return False
     if rate >= 1.0:
         return True
-    draw = int(
-        hashlib.sha256(f"{digest}:{name}".encode("utf-8")).hexdigest()[:8], 16
+    draw = int.from_bytes(
+        hashlib.sha256(f"{digest}:{name}".encode("utf-8")).digest()[:4], "big"
     )
     return draw / 0x100000000 < rate
 

@@ -47,9 +47,11 @@ from repro.core.parametric import model_space
 from repro.engine.engine import CheckEngine, EngineStats
 from repro.generation.enumeration import (
     NaiveEnumerationConfig,
+    block_items,
     count_naive_tests,
     enumerate_canonical_naive_items,
     enumerate_raw_naive_items,
+    raw_naive_blocks,
     test_from_items,
 )
 from repro.pipeline.adaptive import (
@@ -58,6 +60,7 @@ from repro.pipeline.adaptive import (
     ProfileIndex,
     audit_selected,
     profile_digest,
+    repr_digest,
 )
 from repro.pipeline.canonical import CanonicalIndex, key_digest
 from repro.pipeline.report import EquivalenceReport, PartitionAccumulator
@@ -469,7 +472,12 @@ RangeResult = Tuple[List[str], Dict[int, Tuple[List[int], tuple]], Dict[int, tup
 
 
 def _profile_range(
-    space: AdaptiveSpace, config: PipelineConfig, start: int, stop: int, seen: Set[str]
+    space: AdaptiveSpace,
+    config: PipelineConfig,
+    start: int,
+    stop: int,
+    seen: Set[str],
+    native: bool = False,
 ) -> RangeResult:
     """Enumerate and profile raw tests ``start .. stop-1``.
 
@@ -481,7 +489,14 @@ def _profile_range(
     stream; it is updated in place.  The parent classifies ranges in raw
     order and indexes every digest it classifies, so such a digest is
     already indexed when this range is classified and needs no groups.
+
+    ``native`` (the run's kernel resolved to ``native``) profiles with the
+    C profiler (:class:`~repro.pipeline.adaptive.NativeProfiler`); the
+    result is identical to the reference :meth:`AdaptiveSpace.profile`
+    path's.
     """
+    if native:
+        return _profile_range_native(space, config, start, stop, seen)
     digests: List[str] = []
     firsts: Dict[int, Tuple[List[int], tuple]] = {}
     audits: Dict[int, tuple] = {}
@@ -499,9 +514,51 @@ def _profile_range(
     return digests, firsts, audits
 
 
-#: State inherited by forked workers: the config, the model list and the
-#: tabulated adaptive space (None for brute runs).
-_PIPE_STATE: Optional[Tuple[PipelineConfig, List[MemoryModel], Optional[AdaptiveSpace]]] = None
+def _profile_range_native(
+    space: AdaptiveSpace, config: PipelineConfig, start: int, stop: int, seen: Set[str]
+) -> RangeResult:
+    """:func:`_profile_range` over the C profiler, one shape combination
+    per call; items are rebuilt only for first-seen and audited tests."""
+    native = space.native_profiler()
+    profiler, known = native.profiler, native.digests
+    digests: List[str] = []
+    firsts: Dict[int, Tuple[List[int], tuple]] = {}
+    audits: Dict[int, tuple] = {}
+    rate = config.audit_rate
+    offset = 0
+    for templates, choices, skip in raw_naive_blocks(config.enumeration_config(), start):
+        ids, fresh = profiler.profile_block(templates, choices, skip, stop - start - offset)
+        known.extend(map(repr_digest, fresh))
+        block = [known[pid] for pid in ids]
+        digests.extend(block)
+        # First-seen tests: the first occurrence of each digest new to ``seen``.
+        new = set(block).difference(seen)
+        seen.update(new)
+        for index, digest in enumerate(block):
+            if not new:
+                break
+            if digest in new:
+                new.discard(digest)
+                firsts[offset + index] = (
+                    space.groups(profiler.profile(ids[index])),
+                    block_items(templates, choices, skip + index),
+                )
+        if rate:
+            for index, digest in enumerate(block):
+                if audit_selected(digest, f"N{start + offset + index + 1}", rate):
+                    audits[offset + index] = block_items(templates, choices, skip + index)
+        offset += len(ids)
+        if offset == stop - start:
+            break
+    return digests, firsts, audits
+
+
+#: State inherited by forked workers: the config, the model list, the
+#: tabulated adaptive space (None for brute runs) and whether ranges are
+#: profiled natively.
+_PIPE_STATE: Optional[
+    Tuple[PipelineConfig, List[MemoryModel], Optional[AdaptiveSpace], bool]
+] = None
 _PIPE_STATE_LOCK = threading.Lock()
 #: The worker process's persistent engine (one per process, lazily built).
 _WORKER_ENGINE: Optional[CheckEngine] = None
@@ -519,7 +576,7 @@ def _pipeline_worker_loop(conn) -> None:
     """
     global _WORKER_ENGINE
     assert _PIPE_STATE is not None
-    config, models, space = _PIPE_STATE
+    config, models, space, native = _PIPE_STATE
     # Workers allocate millions of short-lived tuples and almost no
     # reference cycles: leave the inherited heap out of collections and
     # collect the youngest generation less often.
@@ -549,7 +606,7 @@ def _pipeline_worker_loop(conn) -> None:
                 if start < profiled_to:
                     seen = set()
                 profiled_to = stop
-                conn.send(("ok", _profile_range(space, config, start, stop, seen), None))
+                conn.send(("ok", _profile_range(space, config, start, stop, seen, native), None))
                 continue
             if _WORKER_ENGINE is None:
                 _WORKER_ENGINE = CheckEngine(backend=config.backend, kernel=config.kernel)
@@ -632,9 +689,12 @@ class _AdaptiveStream:
         pindex: ProfileIndex,
         counters: Dict[str, int],
         start_shard: int,
+        native: bool = False,
     ) -> None:
         self.config = config
         self.space = space
+        #: ranges are profiled by the C profiler (the run's kernel is native)
+        self.native = native
         self.accumulator = accumulator
         self.pindex = pindex
         self.counters = counters
@@ -724,7 +784,9 @@ def _serial_adaptive_shards(stream: _AdaptiveStream) -> Iterator[ShardTuple]:
     seen: Set[str] = set()
     for range_index, (start, stop) in enumerate(stream.ranges()):
         faults.fire("pipeline.range", range=range_index, attempt=0)
-        result = _profile_range(stream.space, stream.config, start, stop, seen)
+        result = _profile_range(
+            stream.space, stream.config, start, stop, seen, stream.native
+        )
         yield from stream.feed(start, result)
         if stream.done:
             break
@@ -900,7 +962,8 @@ def run_pipeline(
     stream: Optional[_AdaptiveStream] = None
     if adaptive_space is not None:
         stream = _AdaptiveStream(
-            config, adaptive_space, accumulator, pindex, counters, start_shard
+            config, adaptive_space, accumulator, pindex, counters, start_shard,
+            native=resolved_kernel == "native",
         )
 
     # Extra workers beyond the machine's cores only add fork/IPC overhead
@@ -1182,7 +1245,10 @@ def _run_parallel(
     num_models = len(models)
 
     with _PIPE_STATE_LOCK:
-        _PIPE_STATE = (config, models, stream.space if stream is not None else None)
+        if stream is None:
+            _PIPE_STATE = (config, models, None, False)
+        else:
+            _PIPE_STATE = (config, models, stream.space, stream.native)
         workers: List[_WorkerHandle] = []
         try:
             #: shards not yet folded, in shard order

@@ -7,6 +7,7 @@ tamper rejection, merge), adaptive/brute differential equality, resume
 determinism, the audit machinery, and the satellite API surfaces.
 """
 
+import hashlib
 import json
 import os
 
@@ -23,6 +24,7 @@ from repro.generation.enumeration import enumerate_raw_naive_items
 from repro.generation.enumeration import test_from_items as _test_from_items
 from repro.pipeline.adaptive import (
     AdaptiveSpace,
+    NativeProfiler,
     PartitionCheckpoint,
     ProfileIndex,
     audit_selected,
@@ -33,6 +35,7 @@ from repro.pipeline.run import BOUNDS, PipelineConfig, PipelineError, run_pipeli
 from repro.native.backend import native_available
 
 KERNELS = ["bigint"] + (["native"] if native_available() else [])
+NEEDS_NATIVE = pytest.mark.skipif(not native_available(), reason="C extension not built")
 
 MODELS = model_space(include_data_dependencies=False)
 MODEL_NAMES = [model.name for model in MODELS]
@@ -266,9 +269,11 @@ class _Killed(Exception):
     pass
 
 
-def _run_adaptive(run_dir, bound="small", jobs=1, kill_after=None, **overrides):
-    """An adaptive bigint run (shard size 24) that raises ``_Killed`` after
-    ``kill_after`` folded shards."""
+def _run_adaptive(
+    run_dir, bound="small", jobs=1, kill_after=None, kernel="bigint", **overrides
+):
+    """An adaptive run (bigint unless told otherwise, shard size 24) that
+    raises ``_Killed`` after ``kill_after`` folded shards."""
     seen = [0]
 
     def progress(event, payload):
@@ -279,7 +284,7 @@ def _run_adaptive(run_dir, bound="small", jobs=1, kill_after=None, **overrides):
 
     return run_pipeline(
         PipelineConfig(
-            bound=bound, kernel="bigint", adaptive=True, shard_size=24,
+            bound=bound, kernel=kernel, adaptive=True, shard_size=24,
             jobs=jobs, run_dir=run_dir, **overrides,
         ),
         progress=progress,
@@ -349,6 +354,18 @@ def test_resume_refuses_crossing_adaptive_and_brute(tmp_path):
 # ----------------------------------------------------------------------
 # audits
 # ----------------------------------------------------------------------
+def test_audit_draw_equals_the_hexdigest_formula():
+    """The draw reads the first four digest bytes, which is the value the
+    first eight hex digits spell."""
+    digest = profile_digest(SPACE.profile(RAW_SMALL[0][1]))
+    for rate in (0.01, 0.25, 0.37):
+        for i in range(10_000):
+            name = f"N{i}"
+            text = hashlib.sha256(f"{digest}:{name}".encode("utf-8")).hexdigest()
+            expected = int(text[:8], 16) / 0x100000000 < rate
+            assert audit_selected(digest, name, rate) == expected
+
+
 def test_audit_selection_is_deterministic_and_proportional():
     picks = [audit_selected("d", f"N{i}", 0.25) for i in range(4000)]
     assert 0.2 < sum(picks) / len(picks) < 0.3
@@ -517,6 +534,78 @@ def test_worker_prefilter_resumes_a_killed_run(tmp_path, monkeypatch):
         resumed.unique_tests + resumed.frontier_skips
         == full.unique_tests + full.frontier_skips
     )
+
+
+# ----------------------------------------------------------------------
+# the native range profiler, end to end
+# ----------------------------------------------------------------------
+def _run_files(run_dir):
+    """The shard files and the partition checkpoint of a run dir, as bytes
+    (the manifest names the kernel, so it differs by design)."""
+    names = ["partition.json"] + [
+        os.path.join("shards", name) for name in sorted(os.listdir(os.path.join(run_dir, "shards")))
+    ]
+    files = {}
+    for name in names:
+        with open(os.path.join(run_dir, name), "rb") as handle:
+            files[name] = handle.read()
+    return files
+
+
+@NEEDS_NATIVE
+@pytest.mark.parametrize("bound", ["small", "medium"])
+def test_native_profiler_run_dirs_equal_the_reference(tmp_path, bound):
+    reference_dir, native_dir = str(tmp_path / "bigint"), str(tmp_path / "native")
+    reference = _run_adaptive(reference_dir, bound, audit_rate=0.2)
+    native = _run_adaptive(native_dir, bound, kernel="native", audit_rate=0.2)
+    with open(os.path.join(native_dir, "manifest.json")) as handle:
+        assert json.load(handle)["kernel"] == "native"
+    assert _run_files(native_dir) == _run_files(reference_dir)
+    assert native.audits_performed == reference.audits_performed > 0
+    assert native.equivalence_classes == reference.equivalence_classes
+
+
+@NEEDS_NATIVE
+@pytest.mark.parametrize("bound", ["small", "medium"])
+def test_native_profiler_in_the_workers_matches_the_serial_run(tmp_path, monkeypatch, bound):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = _run_adaptive(str(tmp_path / "serial"), bound, kernel="native")
+    parallel = _run_adaptive(str(tmp_path / "parallel"), bound, jobs=2, kernel="native")
+    assert parallel.equivalence_classes == serial.equivalence_classes
+    assert parallel.hasse_edges == serial.hasse_edges
+    assert parallel.raw_tests == serial.raw_tests
+    assert parallel.profile_skips == serial.profile_skips
+    assert parallel.complete and serial.complete
+
+
+class _OneKey:
+    """A broken C profiler: every test gets the first test's profile id."""
+
+    def __init__(self, profiler):
+        self.profiler = profiler
+
+    def profile_block(self, templates, choices, skip, count):
+        ids, fresh = self.profiler.profile_block(templates, choices, skip, count)
+        return [0] * len(ids), fresh
+
+    def profile(self, pid):
+        return self.profiler.profile(pid)
+
+
+@NEEDS_NATIVE
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_audit_fails_on_an_unsound_native_profiler(monkeypatch, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: jobs)
+
+    def one_key(space):
+        if space._native is None:
+            space._native = NativeProfiler(space)
+            space._native.profiler = _OneKey(space._native.profiler)
+        return space._native
+
+    monkeypatch.setattr(AdaptiveSpace, "native_profiler", one_key)
+    with pytest.raises(PipelineError, match="audit failed"):
+        _run_adaptive(None, jobs=jobs, kernel="native", audit_rate=1.0)
 
 
 def test_config_validation_for_adaptive_options():
