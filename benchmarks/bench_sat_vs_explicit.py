@@ -2,9 +2,9 @@
 
 The paper's tool calls MiniSat per (test, model) query and completes a model
 comparison "in a reasonable time (seconds)".  This benchmark compares our
-SAT backend (with and without CNF preprocessing) against the explicit
-enumeration backend on the nine contrasting tests, and times a whole
-model-vs-model comparison through the SAT backend.
+SAT backend against the explicit enumeration backend on the nine
+contrasting tests, and times a whole model-vs-model comparison through the
+SAT backend.
 """
 
 import pytest
@@ -39,14 +39,6 @@ def test_backend_explicit_sweep(benchmark, expected_verdicts):
 @pytest.mark.benchmark(group="sat-vs-explicit")
 def test_backend_sat_sweep(benchmark, expected_verdicts):
     verdicts = benchmark.pedantic(lambda: _sweep(SatChecker()), rounds=3, iterations=1)
-    assert verdicts == expected_verdicts
-
-
-@pytest.mark.benchmark(group="sat-vs-explicit")
-def test_backend_sat_with_preprocessing_sweep(benchmark, expected_verdicts):
-    verdicts = benchmark.pedantic(
-        lambda: _sweep(SatChecker(use_preprocessing=True)), rounds=3, iterations=1
-    )
     assert verdicts == expected_verdicts
 
 

@@ -82,8 +82,6 @@ class Session:
     Args:
         backend: engine backend name (``"explicit"``, ``"enumeration"`` or
             ``"sat"``), ignored when ``engine`` is given.
-        jobs: worker processes for verdict matrices, ignored when ``engine``
-            is given.
         kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``
             or ``"bigint"`` — see :mod:`repro.native.backend`),
             ignored when ``engine`` is given.
@@ -96,7 +94,6 @@ class Session:
     def __init__(
         self,
         backend: str = "explicit",
-        jobs: int = 1,
         kernel: Optional[str] = None,
         engine: Optional[CheckEngine] = None,
         models: Optional[ModelRegistry] = None,
@@ -107,7 +104,7 @@ class Session:
         if engine is not None:
             self.engine = engine
         else:
-            self.engine = CheckEngine(backend=backend, jobs=jobs, kernel=kernel)
+            self.engine = CheckEngine(backend=backend, kernel=kernel)
         # One comparator per comparison suite, so verdict vectors computed
         # for one compare request are reused by the next.
         self._comparators: Dict[Tuple[str, bool], ModelComparator] = {}

@@ -21,23 +21,13 @@ from repro.core.expr import ExprError
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.sat.cnf import Assignment
-from repro.sat.simplify import preprocess
 from repro.sat.solver import SatSolver
 
 
 class SatChecker:
-    """Decide admissibility via the SAT encoding.
-
-    Args:
-        use_preprocessing: run the CNF simplifier before solving.  The
-            simplifier is never required for correctness; the flag exists so
-            benchmarks can measure its effect.
-    """
+    """Decide admissibility via the SAT encoding."""
 
     name = "sat"
-
-    def __init__(self, use_preprocessing: bool = False) -> None:
-        self.use_preprocessing = use_preprocessing
 
     def check(self, test: LitmusTest, model: MemoryModel) -> CheckResult:
         """Return whether ``model`` allows the candidate execution of ``test``."""
@@ -64,24 +54,7 @@ class SatChecker:
                 reason="no read-from source can produce the observed values",
             )
 
-        cnf = encoding.cnf
-        if self.use_preprocessing:
-            simplified, forced = preprocess(cnf)
-            if simplified is None:
-                return CheckResult(
-                    False,
-                    test_name=test_name,
-                    model_name=model.name,
-                    reason="CNF preprocessing proved the encoding unsatisfiable",
-                )
-            # Preprocessing removes clauses but keeps variable numbering, so
-            # the decoded assignment must merge the forced values back in.
-            result = SatSolver(simplified).solve()
-            if result.satisfiable and result.assignment is not None:
-                result.assignment.update(forced)
-        else:
-            result = SatSolver(cnf).solve()
-
+        result = SatSolver(encoding.cnf).solve()
         if not result.satisfiable or result.assignment is None:
             return CheckResult(
                 False,

@@ -12,9 +12,9 @@ Subcommands:
 * ``check TEST.litmus --model TSO [--backend sat]`` — is the test allowed?
 * ``compare MODEL1 MODEL2 [--deps/--no-deps]`` — compare two models with the
   template suite and print the contrasting tests.
-* ``explore [--deps/--no-deps] [--jobs N] [--dot FILE]`` — explore the
-  parametric model space and print the Figure 4 report (optionally writing
-  a DOT file).
+* ``explore [--deps/--no-deps] [--dot FILE]`` — explore the parametric
+  model space and print the Figure 4 report (optionally writing a DOT
+  file).
 * ``catalog`` — list the built-in named models and their formulas.
 * ``models [--space deps]`` — list the catalog plus the parametric families
   with formulas, predicate vocabularies and descriptions.
@@ -38,8 +38,8 @@ session's :class:`~repro.api.registry.ModelRegistry`; ``--model-file FILE``
 front so later ``--model NAME`` arguments can refer to them.  ``--backend``
 selects the admissibility strategy, ``--kernel`` the explicit backend's
 checking kernel (``auto``/``native``/``bigint`` — see
-:mod:`repro.native.backend`), and ``--jobs`` fans the exploration out over
-worker processes.
+:mod:`repro.native.backend`).  ``enumerate-verify --jobs`` is the only
+parallel path: it spreads the pipeline's shards over worker processes.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def _make_session(args: argparse.Namespace) -> Session:
     try:
         session = Session(
             backend=args.backend,
-            jobs=getattr(args, "jobs", 1),
             kernel=getattr(args, "kernel", None),
         )
     except ValueError as error:
@@ -409,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore = subparsers.add_parser("explore", help="explore the parametric model space")
     explore.add_argument("--deps", action=argparse.BooleanOptionalAction, default=False,
                          help="use the 90-model space with dependencies (default: 36-model space)")
-    explore.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="number of worker processes for the verdict matrix (default: 1)")
     explore.add_argument("--dot", help="write the Hasse diagram to this DOT file")
     explore.add_argument(
         "--emit-verdicts", metavar="PATH",

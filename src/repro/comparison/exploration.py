@@ -153,7 +153,6 @@ def explore_models(
     tests: Sequence[LitmusTest],
     checker: Optional[object] = None,
     preferred_tests: Sequence[LitmusTest] = (),
-    jobs: int = 1,
 ) -> ExplorationResult:
     """Explore a family of models over a test suite.
 
@@ -171,8 +170,6 @@ def explore_models(
         preferred_tests: tests whose names should be preferred when labelling
             Hasse edges (the paper uses L1..L9).  They are appended to the
             comparison suite if not already present.
-        jobs: fan the per-test work out over this many worker processes
-            (ignored when ``checker`` is already an engine).
     """
     suite: List[LitmusTest] = list(tests)
     existing_names = {test.name for test in suite}
@@ -182,7 +179,7 @@ def explore_models(
             existing_names.add(test.name)
     preferred_names = [test.name for test in preferred_tests]
 
-    engine = CheckEngine.ensure(checker, jobs=jobs)
+    engine = CheckEngine.ensure(checker)
     before = engine.stats.snapshot()
     vectors: Dict[str, VerdictVector] = engine.verdict_matrix(models, suite)
     stats = engine.stats.since(before)

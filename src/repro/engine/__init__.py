@@ -5,9 +5,8 @@ outcome-enumeration and CLI layers use to compute verdicts:
 
 * :class:`~repro.engine.engine.CheckEngine` — owns the
   ``models × tests -> bool`` verdict-matrix computation, with per-test
-  caching, an incremental assumption-based SAT mode, an optional
-  multiprocessing fan-out, and :class:`~repro.engine.engine.EngineStats`
-  reporting;
+  caching, an incremental assumption-based SAT mode, and
+  :class:`~repro.engine.engine.EngineStats` reporting;
 * :class:`~repro.engine.context.TestContext` — the per-test
   model-independent caches (execution, candidate spaces, CNF skeleton,
   persistent solver);

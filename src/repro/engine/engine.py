@@ -12,8 +12,6 @@ admissibility check per (model, test) pair, the engine:
 * on the SAT backend, keeps one persistent incremental solver per test and
   answers each model through ``solve(assumptions=...)`` over per-pair
   selector literals, reusing learned clauses between models;
-* optionally fans the per-test columns of the matrix out over a
-  ``jobs``-wide multiprocessing pool;
 * reports what it did through :class:`EngineStats`.
 
 The matrix is computed test-major: all models of one test are answered
@@ -185,8 +183,6 @@ class CheckEngine:
             an instance of one of those strategies (see
             :func:`~repro.engine.strategies.make_strategy`); a standalone
             checker object raises ``TypeError``.
-        jobs: number of worker processes for :meth:`verdict_matrix`; ``1``
-            computes serially in-process.
         kernel: kernel backend for the explicit strategy — ``"auto"``
             (default; consults ``REPRO_KERNEL`` and prefers the C extension
             when built), ``"native"``, ``"bigint"``, or a
@@ -208,14 +204,9 @@ class CheckEngine:
     def __init__(
         self,
         backend: object = "explicit",
-        jobs: int = 1,
         kernel: object = None,
         verdict_cache: Optional["VerdictCache"] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.backend = backend
-        self.jobs = jobs
         self.strategy: CheckStrategy = make_strategy(backend, kernel=kernel)
         #: the resolved kernel backend, when the strategy has one
         self.kernel = getattr(self.strategy, "kernel", None)
@@ -246,7 +237,7 @@ class CheckEngine:
     # ------------------------------------------------------------------
     @classmethod
     def ensure(
-        cls, checker: Optional[object] = None, jobs: int = 1, kernel: object = None
+        cls, checker: Optional[object] = None, kernel: object = None
     ) -> "CheckEngine":
         """Return ``checker`` if it already is an engine, else build one.
 
@@ -258,7 +249,6 @@ class CheckEngine:
             return checker
         return cls(
             backend=checker if checker is not None else "explicit",
-            jobs=jobs,
             kernel=kernel,
         )
 
@@ -399,32 +389,20 @@ class CheckEngine:
     def verdict_matrix(
         self, models: Sequence[MemoryModel], tests: Sequence[LitmusTest]
     ) -> Dict[str, VerdictVector]:
-        """Compute every model's verdict vector over the suite.
+        """Compute every model's verdict vector over the suite, test-major.
 
-        The computation is test-major and, with ``jobs > 1``, fans the
-        per-test columns out over a multiprocessing pool.
+        Deliberately NOT built on :meth:`check_column`: each column goes
+        through :meth:`check` per model, so ``context_cache_hits`` counts one
+        hit per (model, test) repeat — the counter semantics the serialized
+        ``EngineStats`` documents pin — while ``check_column`` resolves the
+        context once per column for the streaming hot path.
         """
         models = list(models)
-        tests = list(tests)
-        if self.jobs > 1 and len(tests) > 1:
-            columns = self._columns_parallel(models, tests)
-        else:
-            columns = [self._column(test, models) for test in tests]
+        columns = [[self.check(test, model) for model in models] for test in tests]
         return {
-            model.name: tuple(columns[t][m] for t in range(len(tests)))
+            model.name: tuple(column[m] for column in columns)
             for m, model in enumerate(models)
         }
-
-    def _column(self, test: LitmusTest, models: Sequence[MemoryModel]) -> List[bool]:
-        """One test's verdicts for every model (the unit of parallel work).
-
-        Deliberately NOT unified with :meth:`check_column`: this path goes
-        through :meth:`check` per model, so ``context_cache_hits`` counts
-        one hit per (model, test) repeat — the counter semantics the
-        serialized ``EngineStats`` documents pin — while ``check_column``
-        resolves the context once per column for the streaming hot path.
-        """
-        return [self.check(test, model) for model in models]
 
     def check_column(
         self,
@@ -504,57 +482,3 @@ class CheckEngine:
                 with self.lock:
                     self.stats.verdict_cache_persisted += persisted
         return column
-
-    # ------------------------------------------------------------------
-    # parallel fan-out
-    # ------------------------------------------------------------------
-    def _columns_parallel(
-        self, models: List[MemoryModel], tests: List[LitmusTest]
-    ) -> List[List[bool]]:
-        import multiprocessing
-
-        global _WORKER_STATE
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            # No fork on this platform: fall back to the serial path rather
-            # than requiring models/tests to be picklable.
-            return [self._column(test, models) for test in tests]
-
-        # Workers inherit the state through fork, so nothing but the column
-        # index travels down and nothing but booleans + counters travels up.
-        # The lock keeps concurrent engines in one process from clobbering
-        # each other's state between set and fork.
-        # Workers re-resolve the kernel from the parent's *resolved* name so
-        # every process runs the same backend the parent picked.
-        kernel_name = self.kernel.name if self.kernel is not None else None
-        with _WORKER_STATE_LOCK:
-            _WORKER_STATE = (self.backend, kernel_name, models, tests)
-            processes = min(self.jobs, len(tests))
-            try:
-                with context.Pool(processes=processes) as pool:
-                    results = pool.map(_worker_column, range(len(tests)))
-            finally:
-                _WORKER_STATE = None
-
-        columns: List[List[bool]] = [[] for _ in tests]
-        with self.lock:
-            for index, column, worker_stats in results:
-                columns[index] = column
-                self.stats.merge(worker_stats)
-        return columns
-
-
-#: State inherited by forked workers; see :meth:`CheckEngine._columns_parallel`.
-_WORKER_STATE: Optional[
-    Tuple[object, Optional[str], List[MemoryModel], List[LitmusTest]]
-] = None
-_WORKER_STATE_LOCK = threading.Lock()
-
-
-def _worker_column(index: int) -> Tuple[int, List[bool], Dict[str, int]]:
-    assert _WORKER_STATE is not None
-    backend, kernel_name, models, tests = _WORKER_STATE
-    engine = CheckEngine(backend=backend, jobs=1, kernel=kernel_name)
-    column = engine._column(tests[index], models)
-    return index, column, engine.stats.as_dict()

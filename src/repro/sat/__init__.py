@@ -10,9 +10,7 @@ equivalent substrate written from scratch:
   circuits into CNF;
 * :mod:`repro.sat.solver` — a CDCL solver with two-watched literals,
   first-UIP conflict clause learning, VSIDS-style activities, phase saving
-  and Luby restarts;
-* :mod:`repro.sat.simplify` — lightweight preprocessing (unit propagation,
-  pure-literal elimination, tautology and duplicate removal).
+  and Luby restarts.
 
 The solver is exact and is cross-validated against a truth-table oracle in
 the test suite.

@@ -1,7 +1,5 @@
 """Tests for the SAT-based checker and its CNF encoding."""
 
-import pytest
-
 from repro.checker.encoder import encode
 from repro.checker.explicit import ExplicitChecker
 from repro.checker.sat_checker import SatChecker
@@ -14,9 +12,8 @@ from repro.generation.named_tests import L_TESTS, TEST_A
 MODELS = (SC, TSO, IBM370, PSO, RMO_DATA_DEP_ONLY, ALPHA)
 
 
-@pytest.mark.parametrize("use_preprocessing", [False, True])
-def test_sat_checker_matches_explicit_on_named_tests(use_preprocessing):
-    sat = SatChecker(use_preprocessing=use_preprocessing)
+def test_sat_checker_matches_explicit_on_named_tests():
+    sat = SatChecker()
     explicit = ExplicitChecker()
     for test in [TEST_A] + L_TESTS:
         for model in MODELS:

@@ -128,11 +128,3 @@ def test_exploration_is_identical_on_both_engine_backends():
     assert explicit.hasse_edges == sat.hasse_edges
     assert sat.stats.solver_calls == len(models) * len(explicit.tests)
 
-
-def test_exploration_with_jobs_matches_serial():
-    models = [parametric_model(name) for name in ("M4444", "M4044", "M1044", "M4144")]
-    serial = explore_models(models, L_TESTS, preferred_tests=L_TESTS)
-    parallel = explore_models(models, L_TESTS, preferred_tests=L_TESTS, jobs=2)
-    assert parallel.vectors == serial.vectors
-    assert parallel.hasse_edges == serial.hasse_edges
-    assert parallel.stats.executions_evaluated == serial.stats.executions_evaluated

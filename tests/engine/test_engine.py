@@ -56,11 +56,6 @@ def test_ensure_returns_existing_engine_unchanged():
     assert isinstance(CheckEngine.ensure("sat").strategy, IncrementalSatStrategy)
 
 
-def test_engine_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        CheckEngine(jobs=0)
-
-
 # ----------------------------------------------------------------------
 # verdict matrices
 # ----------------------------------------------------------------------
@@ -77,14 +72,6 @@ def test_matrix_agrees_with_reference_checker_strategy(legacy_matrix):
         for model in MODELS
     }
     assert matrix == legacy_matrix
-
-
-def test_parallel_matrix_matches_serial(legacy_matrix):
-    engine = CheckEngine("explicit", jobs=2)
-    assert engine.verdict_matrix(MODELS, TESTS) == legacy_matrix
-    # Worker counters are folded back into the parent engine.
-    assert engine.stats.checks_performed == len(MODELS) * len(TESTS)
-    assert engine.stats.executions_evaluated == len(TESTS)
 
 
 # ----------------------------------------------------------------------
