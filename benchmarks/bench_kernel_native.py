@@ -88,9 +88,9 @@ def test_mask_program_evaluation(benchmark, backend, models_36):
     executions = [test.execution() for test in ALL_TESTS]
     reference_kernel = resolve_kernel("bigint")
     expected = [
-        reference_kernel.po_pair_mask(IndexedExecution(execution), entry)
+        mask
         for execution in executions
-        for entry in compiled
+        for mask in reference_kernel.po_pair_masks(IndexedExecution(execution), compiled)
     ]
 
     def run():
@@ -99,7 +99,7 @@ def test_mask_program_evaluation(benchmark, backend, models_36):
             # Fresh per round so the per-node memo doesn't hide the work.
             indexed = IndexedExecution(execution)
             for entry in compiled:
-                masks.append(kernel.po_pair_mask(indexed, entry))
+                masks.extend(kernel.po_pair_masks(indexed, [entry]))
         return masks
 
     masks = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -1,14 +1,14 @@
-"""Synthesis strategies over growing observation counts.
+"""Synthesis on both engine backends over growing observation counts.
 
 Inverting the checker: given a row of observed verdicts from the 90-model
-space, how fast do the two synthesis strategies recover the consistent
-set?  The enumeration strategy streams cache-warm verdict columns
-(``CheckEngine.check_column``); the SAT strategy answers each observation
-with one incremental solve per *distinct* po-pair mask, so models that
-force the same program-order edges share a solver call.  Both run on a
-session-warm engine — the realistic serving shape, where explore/compare
-traffic has already built the per-test contexts — and the benchmark
-asserts they return identical results at every size.
+space, how fast does synthesis recover the consistent set?  Each
+observation is one ``CheckEngine.check_column`` of the synthesizer's
+engine: the explicit kernel or incremental SAT, one decision per
+*distinct* po-pair mask, so models that force the same program-order
+edges share a search or a solver call.  Both run on a session-warm engine
+— the realistic serving shape, where explore/compare traffic has already
+built the per-test contexts — and the benchmark asserts they return
+identical results at every size.
 """
 
 import dataclasses
@@ -24,27 +24,31 @@ TARGET = "M4044"
 OBSERVATION_COUNTS = (4, 16, 64)
 
 
-@pytest.fixture(scope="module")
-def synthesis(models_90, suite_with_dependencies):
-    """A warm synthesis engine plus the target model's full verdict row."""
-    engine = CheckEngine()
-    synth = SynthesisEngine(
-        models_90,
+def _synth(models, backend):
+    return SynthesisEngine(
+        models,
         list(L_TESTS),
-        engine=engine,
+        engine=CheckEngine(backend),
         preferred_tests=L_TESTS,
         space="deps",
     )
+
+
+@pytest.fixture(scope="module")
+def synthesis(models_90, suite_with_dependencies):
+    """A warm synthesizer per engine backend plus the target model's full
+    verdict row."""
+    synths = {backend: _synth(models_90, backend) for backend in ("explicit", "sat")}
     target = parametric_model(TARGET)
     suite = list(suite_with_dependencies.tests()) + list(L_TESTS)
-    row = [(test, engine.check(test, target)) for test in suite]
-    # Warm every per-test context the benchmark will touch, for both
-    # strategies, so the timings measure synthesis rather than first-visit
+    row = [(test, synths["explicit"].engine.check(test, target)) for test in suite]
+    # Warm every per-test context the benchmark will touch, on both
+    # engines, so the timings measure synthesis rather than first-visit
     # candidate-space construction.
-    for test, _ in row:
-        engine.check_column(test, synth.models, retain=True)
-        synth._sat_column(test)
-    return synth, row
+    for synth in synths.values():
+        for test, _ in row:
+            synth.engine.check_column(test, synth.models, retain=True)
+    return synths, row
 
 
 def _strip(result):
@@ -54,9 +58,9 @@ def _strip(result):
 @pytest.mark.parametrize("count", OBSERVATION_COUNTS)
 @pytest.mark.benchmark(group="synthesis")
 def test_synthesize_enum(benchmark, synthesis, count):
-    synth, row = synthesis
+    synths, row = synthesis
     result = benchmark.pedantic(
-        lambda: synth.synthesize(row[:count], backend="enum"),
+        lambda: synths["explicit"].synthesize(row[:count]),
         rounds=3,
         iterations=1,
     )
@@ -66,9 +70,9 @@ def test_synthesize_enum(benchmark, synthesis, count):
 @pytest.mark.parametrize("count", OBSERVATION_COUNTS)
 @pytest.mark.benchmark(group="synthesis")
 def test_synthesize_sat(benchmark, synthesis, count):
-    synth, row = synthesis
+    synths, row = synthesis
     result = benchmark.pedantic(
-        lambda: synth.synthesize(row[:count], backend="sat"),
+        lambda: synths["sat"].synthesize(row[:count]),
         rounds=3,
         iterations=1,
     )
@@ -76,17 +80,20 @@ def test_synthesize_sat(benchmark, synthesis, count):
 
 
 def test_strategies_agree_at_every_size(synthesis):
-    synth, row = synthesis
+    synths, row = synthesis
     for count in OBSERVATION_COUNTS:
-        enum = synth.synthesize(row[:count], backend="enum")
-        sat = synth.synthesize(row[:count], backend="sat")
+        enum = synths["explicit"].synthesize(row[:count])
+        sat = synths["sat"].synthesize(row[:count])
         assert _strip(enum) == _strip(sat), f"strategies diverge at {count}"
 
 
-def test_sat_strategy_groups_models_by_mask(synthesis):
-    synth, row = synthesis
-    result = synth.synthesize(row[:16], backend="sat")
-    stats = result.stats
-    assert stats.synth_solver_calls + stats.synth_group_hits == 16 * 90
+def test_sat_strategy_groups_models_by_mask(models_90, synthesis):
+    _, row = synthesis
+    cold = _synth(models_90, "sat")
+    before = cold.engine.stats.snapshot()
+    for test, _ in row[:16]:
+        cold._column(test)
+    stats = cold.engine.stats.since(before)
+    assert stats.checks_performed == 16 * 90
     # Mask grouping must be doing real work on this space.
-    assert stats.synth_group_hits > stats.synth_solver_calls
+    assert 0 < stats.solver_calls < stats.checks_performed // 2

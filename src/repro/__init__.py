@@ -56,7 +56,6 @@ from repro.checker import (
     CheckResult,
     ExplicitChecker,
     OutcomeSet,
-    ReferenceChecker,
     SatChecker,
     allowed_outcomes,
     is_allowed,
@@ -138,7 +137,6 @@ __all__ = [
     # checking
     "ExplicitChecker",
     "SatChecker",
-    "ReferenceChecker",
     "CheckResult",
     "OutcomeSet",
     "is_allowed",

@@ -128,9 +128,6 @@ class ExhaustiveRequest:
     adaptive: bool = False
     #: fraction of skipped tests re-checked end-of-run (requires adaptive)
     audit_rate: float = 0.0
-    #: partition checkpoint path override (requires adaptive; defaults to
-    #: ``<run_dir>/partition.json`` when a run_dir is set)
-    partition_checkpoint: Optional[str] = None
 
     op = "exhaustive"
 
@@ -144,15 +141,14 @@ class SynthesizeRequest:
     are coerced); each ``test`` spec resolves through the session's test
     registry, so path specs honor the registry's path restrictions.
     ``space`` accepts the canonical keys (``"deps"``/``"no_deps"``) and
-    their paper-facing aliases (``"paper90"``/``"paper36"``); ``backend``
-    picks the verdict-column strategy (``"enum"``, ``"sat"`` or ``"auto"``
-    to follow the session's engine backend); ``suggest_tests`` caps the
-    number of distinguishing-test suggestions when the answer is ambiguous.
+    their paper-facing aliases (``"paper90"``/``"paper36"``); the verdict
+    columns come from the session's engine, on its backend;
+    ``suggest_tests`` caps the number of distinguishing-test suggestions
+    when the answer is ambiguous.
     """
 
     observations: Tuple["Observation", ...] = ()
     space: str = "deps"
-    backend: str = "auto"
     suggest_tests: int = 3
     suite: Optional[str] = None
 

@@ -63,9 +63,13 @@ from repro.pipeline.report import EquivalenceReport
 #: serialized ``EngineStats`` payload; version 3 added the adaptive
 #: pipeline's counters (``adaptive``/``profile_skips``/``frontier_skips``/
 #: ``audits_performed`` on equivalence reports, ``derived_verdicts`` in
-#: ``EngineStats``).  Older documents are rejected (regenerate them, or
-#: strip the envelope for request documents).
-SCHEMA_VERSION = 3
+#: ``EngineStats``); version 4 dropped three counters of deleted check
+#: paths (the in-engine enumeration's coherence-cache hits, synthesis's
+#: private SAT calls and mask-group hits), the synthesize request's
+#: ``backend`` field and the exhaustive request's partition checkpoint
+#: path.  Older documents are rejected (regenerate them, or strip the
+#: envelope for request documents).
+SCHEMA_VERSION = 4
 
 #: ``schema`` kind strings, one per top-level document type.
 SCHEMA_PREFIX = "repro/"

@@ -10,7 +10,7 @@ reuse is observable.
 
 Transports:
 
-* stdin/stdout (the default; also ``python -m repro.api.serve``);
+* stdin/stdout (the default);
 * a TCP socket (``--port``): one JSON-lines conversation per connection.
   Each connection gets its own lightweight :meth:`Session.view` (private
   registries over one shared engine) and its own thread.  ``check``
@@ -81,7 +81,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, IO, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, Union
 
 from repro.api.metrics import ServeMetrics, metrics_document, start_metrics_server
 from repro.api.requests import request_from_json
@@ -1222,34 +1222,3 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         cache_capacity=args.cache_capacity,
         metrics_port=args.metrics_port,
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for ``python -m repro.api.serve``."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.api.serve",
-        description="Serve JSON-lines check/compare/explore/outcomes requests over one warm session.",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("explicit", "enumeration", "sat"),
-        default="explicit",
-        help="admissibility backend for the session's engine",
-    )
-    from repro.native.backend import KERNEL_CHOICES
-
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default=None,
-        help="explicit-backend checking kernel (default 'auto': the C "
-        "extension when built, else the bigint kernel)",
-    )
-    add_serve_arguments(parser)
-    args = parser.parse_args(argv)
-    session = Session(backend=args.backend, kernel=args.kernel)
-    return serve(session, host=args.host, port=args.port, config=config_from_args(args))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

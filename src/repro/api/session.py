@@ -80,8 +80,8 @@ class Session:
     """A long-lived API session over one warm :class:`CheckEngine`.
 
     Args:
-        backend: engine backend name (``"explicit"``, ``"enumeration"`` or
-            ``"sat"``), ignored when ``engine`` is given.
+        backend: engine backend name (``"explicit"`` or ``"sat"``),
+            ignored when ``engine`` is given.
         kernel: explicit-strategy kernel backend (``"auto"``, ``"native"``
             or ``"bigint"`` — see :mod:`repro.native.backend`),
             ignored when ``engine`` is given.
@@ -348,11 +348,7 @@ class Session:
             (self.tests.resolve(observation.test), bool(observation.allowed))
             for observation in request.observations
         ]
-        return synth.synthesize(
-            resolved,
-            backend=request.backend,
-            suggest_tests=request.suggest_tests,
-        )
+        return synth.synthesize(resolved, suggest_tests=request.suggest_tests)
 
     def _run_exhaustive(self, request: ExhaustiveRequest) -> EquivalenceReport:
         from repro.pipeline.run import PipelineConfig, run_pipeline
@@ -361,10 +357,6 @@ class Session:
             # Mirrors the test-spec path restriction: network-facing serve
             # sessions must not let remote clients choose server-side paths.
             raise ValueError("run_dir is not available on path-restricted sessions")
-        if request.partition_checkpoint is not None and not self.tests.allow_paths:
-            raise ValueError(
-                "partition_checkpoint is not available on path-restricted sessions"
-            )
         config = PipelineConfig(
             bound=request.bound,
             space=request.space,
@@ -380,7 +372,6 @@ class Session:
             shard_retries=request.shard_retries,
             adaptive=request.adaptive,
             audit_rate=request.audit_rate,
-            partition_checkpoint=request.partition_checkpoint,
         )
         return run_pipeline(
             config,

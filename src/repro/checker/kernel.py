@@ -254,11 +254,15 @@ class IndexedExecution:
         return self._coherence_orders_at
 
     def _store_orders(self, stores: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-        """Index-level twin of :func:`relations.po_respecting_store_orders`.
+        """Every total order of ``stores`` that respects program order.
 
-        Generates the po-respecting interleavings directly over event
-        indices (differentially tested against the event-level original),
-        in the same lexicographic order by position in ``stores``.
+        Same-thread stores stay in program order (the opposite orientation
+        would force an anti-program-order edge), so the valid orders are
+        the interleavings of the per-thread store chains.  They are
+        generated directly over event indices — no permute-then-filter —
+        in the lexicographic order (by position in ``stores``) that
+        filtering ``itertools.permutations`` produces; the test suite holds
+        them equal to :func:`relations.enumerate_coherence_orders_reference`.
         """
         if not stores:
             return ((),)
@@ -584,8 +588,3 @@ class KernelSearch:
                     return True
             kernel.undo_to(mark)
         return False
-
-
-def kernel_allowed(indexed: IndexedExecution, po_edges: Sequence[IndexEdge]) -> bool:
-    """Decide admissibility for a model's program-order edges."""
-    return KernelSearch(indexed, po_edges).run() is not None

@@ -89,72 +89,13 @@ def enumerate_read_from_maps(execution: Execution) -> Iterator[ReadFromMap]:
 # ----------------------------------------------------------------------
 # coherence orders
 # ----------------------------------------------------------------------
-def po_respecting_store_orders(stores: Sequence[Event]) -> List[Tuple[Event, ...]]:
-    """Return every total order of ``stores`` that respects program order.
-
-    Same-thread stores are kept in program order (the opposite orientation
-    would force an anti-program-order happens-before edge and is therefore
-    never useful), so the valid orders are exactly the interleavings of the
-    per-thread store chains.  They are generated directly — no
-    permute-then-filter — in the same lexicographic order (by position in
-    ``stores``) that filtering ``itertools.permutations`` would produce.
-    """
-    stores = list(stores)
-    if not stores:
-        return [()]
-    chains: Dict[int, List[Event]] = {}
-    for store in stores:
-        chains.setdefault(store.thread_index, []).append(store)
-    for chain in chains.values():
-        chain.sort(key=lambda store: store.index)
-    position = {store: index for index, store in enumerate(stores)}
-
-    results: List[Tuple[Event, ...]] = []
-    prefix: List[Event] = []
-    heads = {thread: 0 for thread in chains}
-
-    def extend() -> None:
-        if len(prefix) == len(stores):
-            results.append(tuple(prefix))
-            return
-        ready = sorted(
-            (position[chain[heads[thread]]], thread)
-            for thread, chain in chains.items()
-            if heads[thread] < len(chain)
-        )
-        for _, thread in ready:
-            store = chains[thread][heads[thread]]
-            prefix.append(store)
-            heads[thread] += 1
-            extend()
-            heads[thread] -= 1
-            prefix.pop()
-
-    extend()
-    return results
-
-
-def enumerate_coherence_orders(execution: Execution) -> Iterator[CoherenceOrder]:
+def enumerate_coherence_orders_reference(execution: Execution) -> Iterator[CoherenceOrder]:
     """Yield every per-location total store order consistent with program order.
 
-    Per-location orders come from :func:`po_respecting_store_orders`, which
-    interleaves the per-thread store chains directly instead of filtering all
-    permutations after the fact.
-    """
-    locations = execution.locations()
-    per_location = [
-        po_respecting_store_orders(execution.stores_to(location))
-        for location in locations
-    ]
-    for combination in product(*per_location):
-        yield dict(zip(locations, combination))
-
-
-def enumerate_coherence_orders_reference(execution: Execution) -> Iterator[CoherenceOrder]:
-    """The original permute-then-filter enumeration, kept as the oracle path.
-
-    Produces exactly the same sequence as :func:`enumerate_coherence_orders`;
-    the cross-validation suite asserts the equivalence.
+    The original permute-then-filter enumeration, kept as the oracle path:
+    the kernel generates the same per-location orders directly over event
+    indices (:attr:`~repro.checker.kernel.IndexedExecution.
+    coherence_orders_at`), and the test suite asserts the equivalence.
     """
     locations = execution.locations()
     per_location: List[List[Tuple[Event, ...]]] = []
@@ -198,22 +139,12 @@ def program_order_edges(execution: Execution, model: MemoryModel) -> List[HbEdge
     ]
 
 
-def coherence_position_map(coherence: CoherenceOrder) -> Dict[Event, int]:
-    """Return each store's position within its location's coherence order."""
-    return {
-        store: position
-        for stores in coherence.values()
-        for position, store in enumerate(stores)
-    }
-
-
 def forced_edges(
     execution: Execution,
     model: MemoryModel,
     read_from: ReadFromMap,
     coherence: CoherenceOrder,
     program_order: Optional[List[HbEdge]] = None,
-    coherence_position: Optional[Dict[Event, int]] = None,
 ) -> Optional[List[HbEdge]]:
     """Return the forced happens-before edges, or None if the choice is invalid.
 
@@ -221,16 +152,19 @@ def forced_edges(
     program order within a thread ("ignore local"), so no valid
     happens-before relation exists for this (rf, co) combination.
 
-    ``program_order`` and ``coherence_position`` accept precomputed values
-    (see :class:`~repro.engine.context.TestContext`) so repeated calls over
-    the same model or coherence order skip the recomputation.
+    ``program_order`` accepts the model's precomputed
+    :func:`program_order_edges`, so a sweep over many (rf, co) choices
+    evaluates the model once.
     """
     edges: List[HbEdge] = list(
         program_order_edges(execution, model) if program_order is None else program_order
     )
 
-    if coherence_position is None:
-        coherence_position = coherence_position_map(coherence)
+    coherence_position = {
+        store: position
+        for stores in coherence.values()
+        for position, store in enumerate(stores)
+    }
 
     # write-write (coherence) edges
     for location, stores in coherence.items():

@@ -189,7 +189,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         request = SynthesizeRequest(
             observations=tuple(observation_set),
             space=args.space,
-            backend=args.synth_backend,
             suggest_tests=args.suggest_tests,
         )
     except ValueError as error:
@@ -321,7 +320,6 @@ def _cmd_enumerate_verify(args: argparse.Namespace) -> int:
         shard_retries=args.shard_retries,
         adaptive=args.adaptive,
         audit_rate=args.audit_rate,
-        partition_checkpoint=args.partition_checkpoint,
     )
     try:
         report = _run(session, request)
@@ -361,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=("explicit", "enumeration", "sat"),
+        choices=("explicit", "sat"),
         default="explicit",
         help="admissibility backend",
     )
@@ -440,13 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--suggest-tests", type=int, default=3, metavar="N",
         help="propose up to N distinguishing tests when several models "
         "remain consistent (default: 3)")
-    # dest avoids clobbering the global --backend (the engine strategy).
-    synthesize.add_argument(
-        "--backend", dest="synth_backend", choices=("enum", "sat", "auto"),
-        default="auto",
-        help="verdict-column strategy: 'enum' batches through the engine's "
-        "check_column, 'sat' solves the CNF skeletons incrementally per "
-        "distinct po-mask; 'auto' follows the engine backend")
     add_format(synthesize)
     synthesize.set_defaults(func=_cmd_synthesize)
 
@@ -519,10 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-rate", type=float, default=0.0, metavar="RATE",
         help="re-check this fraction of adaptively skipped tests end-of-run "
         "and fail if any skip certificate was unsound (requires --adaptive)")
-    enumerate_verify.add_argument(
-        "--partition-checkpoint", default=None, metavar="PATH",
-        help="where to write the digest-sealed partition checkpoint "
-        "(default: <run-dir>/partition.json; requires --adaptive)")
     enumerate_verify.add_argument(
         "--assert-match", action="store_true",
         help="exit non-zero unless the run is complete and the naive "

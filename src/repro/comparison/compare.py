@@ -21,8 +21,8 @@ from repro.core.model import MemoryModel
 from repro.engine.engine import CheckEngine
 
 #: What the comparison entry points accept as an admissibility backend: a
-#: ready-made engine to share, or a backend name (``"explicit"``,
-#: ``"enumeration"``, ``"sat"``).
+#: ready-made engine to share, or a backend name (``"explicit"`` or
+#: ``"sat"``).
 EngineSpec = Union[CheckEngine, str]
 
 #: A verdict vector: one boolean (allowed?) per test, in suite order.
@@ -106,8 +106,8 @@ class ModelComparator:
         tests: the litmus tests to compare over (typically a template suite).
         engine: the admissibility backend — a ready-made
             :class:`~repro.engine.engine.CheckEngine` to share, or a backend
-            name (``"explicit"``, ``"enumeration"``, ``"sat"``).  The
-            explicit backend by default.
+            name (``"explicit"`` or ``"sat"``).  The explicit backend by
+            default.
     """
 
     def __init__(

@@ -1,22 +1,22 @@
 """The batched, cached, incremental checking engine.
 
 :class:`CheckEngine` owns the full verdict-matrix computation
-(``models × tests -> bool``) behind the comparison, exploration and
-outcome-enumeration entry points.  Compared with dispatching one independent
-admissibility check per (model, test) pair, the engine:
+(``models × tests -> bool``) behind the comparison, exploration,
+synthesis and outcome-enumeration entry points, and computes it one way:
+:meth:`CheckEngine.check_column`, one test's verdicts for a sequence of
+models.  A single check is a one-model column, and a verdict matrix or
+vector is a sequence of columns.  Within a column the engine:
 
-* evaluates each test's :class:`~repro.core.execution.Execution` exactly
-  once and shares it — plus the enumerated read-from/coherence candidate
-  spaces or the CNF skeleton — across every model
-  (:class:`~repro.engine.context.TestContext`);
-* on the SAT backend, keeps one persistent incremental solver per test and
-  answers each model through ``solve(assumptions=...)`` over per-pair
-  selector literals, reusing learned clauses between models;
+* evaluates the test's :class:`~repro.core.execution.Execution` once and
+  shares it — plus the indexed execution or the CNF skeleton — across
+  every model (:class:`~repro.engine.context.TestContext`);
+* evaluates each model's forced po-pair mask (batched through the kernel's
+  combined program), and asks the strategy for one decision per distinct
+  mask the context has not decided yet — models forcing the same edges
+  share one kernel search or one incremental ``solve(assumptions=...)``;
+* optionally derives verdicts by mask monotonicity instead of deciding
+  them (``derive=True``);
 * reports what it did through :class:`EngineStats`.
-
-The matrix is computed test-major: all models of one test are answered
-consecutively, which is exactly the access pattern the per-test caches and
-the incremental solver are built for.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ class EngineStats:
     executions_evaluated: int = 0
     #: tests whose candidate outcome could not be evaluated at all
     execution_failures: int = 0
-    #: checks answered from an already-built test context
+    #: columns (a check is a one-model column) answered from an
+    #: already-built test context
     context_cache_hits: int = 0
-    #: read-from/coherence spaces or CNF skeletons built (one per test)
+    #: indexed executions or CNF skeletons built (one per test)
     candidate_spaces_built: int = 0
-    #: per-model program-order edge sets answered from the context cache
+    #: per-model po-pair masks answered from the context cache
     po_edge_cache_hits: int = 0
-    #: coherence-position map sweeps answered from the context cache
-    coherence_cache_hits: int = 0
-    #: incremental SAT calls issued (SAT backend only)
+    #: incremental SAT calls issued, one per distinct po-mask of a test
+    #: (SAT backend only)
     solver_calls: int = 0
     #: learned clauses already present at the start of a SAT call, summed
     #: over all calls (SAT backend only) — the clause-reuse metric
@@ -72,21 +72,16 @@ class EngineStats:
     #: IR DAG nodes shared with previously compiled models — the
     #: cross-model common-subexpression metric
     ir_cse_hits: int = 0
-    #: resolved kernel backend name ("native" or "bigint"; empty for
-    #: strategies that have no kernel, e.g. SAT and enumeration)
+    #: resolved kernel backend name ("native" or "bigint"; empty for the
+    #: SAT strategy, which has no kernel)
     kernel_backend: str = ""
-    #: kernel searches answered by the C extension
+    #: kernel searches answered by the C extension (one per distinct
+    #: po-mask of a test)
     native_searches: int = 0
     #: kernel searches answered by the Python-int bigint kernel
     fallback_searches: int = 0
     #: synthesis queries answered (one per SynthesisEngine.synthesize call)
     synth_runs: int = 0
-    #: incremental SAT solves issued by the synthesis SAT strategy (one per
-    #: distinct po-pair mask per observation)
-    synth_solver_calls: int = 0
-    #: synthesis verdicts answered by a model sharing an already-solved
-    #: po-pair mask — the SAT strategy's model-grouping metric
-    synth_group_hits: int = 0
     #: checks answered from the digest-keyed verdict cache without touching
     #: the strategy (or, for serve's fast path, the engine lock)
     verdict_cache_hits: int = 0
@@ -139,8 +134,6 @@ class EngineStats:
         ]
         if self.po_edge_cache_hits:
             parts.append(f"{self.po_edge_cache_hits} po-edge cache hits")
-        if self.coherence_cache_hits:
-            parts.append(f"{self.coherence_cache_hits} coherence cache hits")
         if self.solver_calls:
             parts.append(f"{self.solver_calls} SAT calls")
             parts.append(f"{self.clauses_reused} learned clauses reused")
@@ -149,11 +142,7 @@ class EngineStats:
         if self.ir_cse_hits:
             parts.append(f"{self.ir_cse_hits} IR subformulas shared")
         if self.synth_runs:
-            parts.append(
-                f"{self.synth_runs} synthesis runs "
-                f"({self.synth_solver_calls} synthesis SAT calls, "
-                f"{self.synth_group_hits} mask-group hits)"
-            )
+            parts.append(f"{self.synth_runs} synthesis runs")
         if self.verdict_cache_hits or self.verdict_cache_misses:
             parts.append(
                 f"{self.verdict_cache_hits} verdict-cache hits "
@@ -179,17 +168,17 @@ class CheckEngine:
     """Single entry point for batched admissibility checking.
 
     Args:
-        backend: ``"explicit"`` (default), ``"enumeration"``, ``"sat"``, or
-            an instance of one of those strategies (see
+        backend: ``"explicit"`` (default), ``"sat"``, or an instance of
+            one of those strategies (see
             :func:`~repro.engine.strategies.make_strategy`); a standalone
             checker object raises ``TypeError``.
         kernel: kernel backend for the explicit strategy — ``"auto"``
             (default; consults ``REPRO_KERNEL`` and prefers the C extension
             when built), ``"native"``, ``"bigint"``, or a
             :class:`~repro.native.backend.KernelBackend` instance.  Resolved
-            once, at construction; ignored by non-kernel backends.
+            once, at construction; ignored by the SAT backend.
         verdict_cache: optional :class:`~repro.cache.verdict.VerdictCache`
-            interposed in :meth:`check`/:meth:`check_column`: cacheable
+            interposed in :meth:`check_column`: cacheable
             (formula model, canonicalizable test) pairs are answered from
             the cache when warm and stored after computing otherwise.
             Every strategy is a pure function of (model IR, canonical
@@ -197,8 +186,8 @@ class CheckEngine:
 
     Thread safety: every stats/cache mutation happens under :attr:`lock`
     (an ``RLock``), so concurrent callers — serve's connections — observe
-    exact counters; a cache-hit :meth:`check` takes only the cache's own
-    lock plus one brief :attr:`lock` acquisition for the counters.
+    exact counters; an all-hit column takes only the cache's own lock plus
+    one brief :attr:`lock` acquisition for the counters.
     """
 
     def __init__(
@@ -209,7 +198,7 @@ class CheckEngine:
     ) -> None:
         self.strategy: CheckStrategy = make_strategy(backend, kernel=kernel)
         #: the resolved kernel backend, when the strategy has one
-        self.kernel = getattr(self.strategy, "kernel", None)
+        self.kernel = self.strategy.kernel
         #: serialises stats/cache mutation; public so serve can hold it
         #: across a whole request for exact stats attribution
         self.lock = threading.RLock()
@@ -329,6 +318,10 @@ class CheckEngine:
         the compile counters stay deterministic.
         """
         with self.lock:
+            if len(models) == 1:
+                # A one-model column (every check): memoizing the throwaway
+                # sequence would pin one entry per call.
+                return [self._compiled_locked(models[0])]
             entry = self._compiled_spaces.get(id(models))
             if entry is not None and entry[0] is models:
                 self.stats.compile_cache_hits += len(entry[1])
@@ -349,56 +342,30 @@ class CheckEngine:
     # checking
     # ------------------------------------------------------------------
     def check(self, test: LitmusTest, model: MemoryModel, cache: bool = True) -> bool:
-        """Return whether ``model`` allows the candidate execution of ``test``."""
-        # Fault point guarded by the armed-table truthiness so the hot
-        # check path costs one list check when no fault is injected.
-        if faults._FAULTS:
-            faults.fire("engine.check", test=test.name, model=model.name)
-        vcache = self.verdict_cache
-        key = None
-        if vcache is not None:
-            key = vcache.key_for(test, model)
-            if key is not None:
-                verdict = vcache.get(key)
-                if verdict is not None:
-                    with self.lock:
-                        self.stats.checks_performed += 1
-                        self.stats.verdict_cache_hits += 1
-                    return verdict
-        with self.lock:
-            if key is not None:
-                self.stats.verdict_cache_misses += 1
-            compiled = self._compiled_locked(model)
-            context = self.context(test, cache=cache)
-            self.stats.checks_performed += 1
-            if context.execution is None:
-                verdict = False
-            else:
-                verdict = self.strategy.check(context, compiled, self.stats)
-        if key is not None and vcache.put(key, verdict) and vcache.store is not None:
-            with self.lock:
-                self.stats.verdict_cache_persisted += 1
-        return verdict
+        """Return whether ``model`` allows the candidate execution of ``test``.
+
+        A one-model :meth:`check_column`; ``cache=False`` keeps no newly
+        built context (outcome enumeration checks one-shot tests).
+        """
+        return self.check_column(test, (model,), retain=cache)[0]
 
     def verdict_vector(
         self, model: MemoryModel, tests: Sequence[LitmusTest]
     ) -> VerdictVector:
-        """Return one model's verdicts over a suite, in suite order."""
+        """Return one model's verdicts over a suite, in suite order.
+
+        Each test's context is retained, and its mask -> verdict memo with
+        it, so model-major callers (one vector per model) share every
+        search across models just like :meth:`verdict_matrix`.
+        """
         return tuple(self.check(test, model) for test in tests)
 
     def verdict_matrix(
         self, models: Sequence[MemoryModel], tests: Sequence[LitmusTest]
     ) -> Dict[str, VerdictVector]:
-        """Compute every model's verdict vector over the suite, test-major.
-
-        Deliberately NOT built on :meth:`check_column`: each column goes
-        through :meth:`check` per model, so ``context_cache_hits`` counts one
-        hit per (model, test) repeat — the counter semantics the serialized
-        ``EngineStats`` documents pin — while ``check_column`` resolves the
-        context once per column for the streaming hot path.
-        """
+        """Compute every model's verdict vector over the suite, test-major."""
         models = list(models)
-        columns = [[self.check(test, model) for model in models] for test in tests]
+        columns = [self.check_column(test, models, retain=True) for test in tests]
         return {
             model.name: tuple(column[m] for column in columns)
             for m, model in enumerate(models)
@@ -411,19 +378,22 @@ class CheckEngine:
         retain: bool = False,
         derive: bool = False,
     ) -> List[bool]:
-        """One test's verdicts for every model, then evict the test's context.
+        """One test's verdicts for every model — the engine's one check path.
 
-        This is the streaming access pattern of the exhaustive-enumeration
-        pipeline: each test is answered for the whole model space exactly
-        once (sharing the context across the column) and never seen again,
-        so by default its context is dropped instead of growing the cache
-        unboundedly.  ``retain=True`` keeps it, matching :meth:`check`.
+        The default suits the streaming exhaustive-enumeration pipeline:
+        each test is answered for the whole model space exactly once and
+        never seen again, so its context is dropped afterwards instead of
+        growing the cache unboundedly.  ``retain=True`` keeps it, and with
+        it the test's mask -> verdict memo.
 
-        ``derive=True`` lets strategies with a column fast path derive some
-        verdicts by po-mask monotonicity (a model forcing a superset of
-        another's program order admits a subset of its witnesses) instead
-        of searching each distinct mask; verdicts are identical but the
-        search counters differ, so the brute pipeline keeps it off.
+        ``derive=True`` visits the column's undecided masks in descending
+        popcount order and reads a verdict off an already-decided mask
+        when monotonicity settles it: more forced edges means fewer
+        candidate executions, so ``allowed`` at a superset mask implies
+        ``allowed`` at every subset, and ``forbidden`` at a subset implies
+        ``forbidden`` at every superset.  Verdicts are identical, but those
+        shortcuts count as ``derived_verdicts`` instead of searches, which
+        is why the brute pipeline keeps the flag off.
         """
         if faults._FAULTS:
             faults.fire("engine.check_column", test=test.name)
@@ -454,25 +424,7 @@ class CheckEngine:
             compiled_models = self.compiled_all(models)
             context = self.context(test, cache=retain)
             self.stats.checks_performed += len(models)
-            if context.execution is None:
-                column = [False] * len(models)
-            else:
-                strategy = self.strategy
-                stats = self.stats
-                # Strategies with a column fast path (the explicit kernel
-                # batches the whole column's masks through one combined
-                # program) take it; verdicts and counters are identical to
-                # the per-model loop.
-                column_check = getattr(strategy, "check_column", None)
-                if column_check is not None:
-                    column = column_check(
-                        context, compiled_models, stats, derive=derive
-                    )
-                else:
-                    column = [
-                        strategy.check(context, compiled, stats)
-                        for compiled in compiled_models
-                    ]
+            column = self._decide(context, compiled_models, derive)
         if keys is not None:
             persisted = 0
             for key, verdict in zip(keys, column):
@@ -481,4 +433,48 @@ class CheckEngine:
             if persisted and vcache.store is not None:
                 with self.lock:
                     self.stats.verdict_cache_persisted += persisted
+        return column
+
+    def _decide(
+        self, context: TestContext, compiled_models: Sequence[CompiledModel], derive: bool
+    ) -> List[bool]:
+        """The column's verdicts: one strategy decision per undecided mask."""
+        if context.execution is None:
+            return [False] * len(compiled_models)
+        strategy = self.strategy
+        stats = self.stats
+        first_visit = not context.candidate_space_built
+        feasible = strategy.prepare(context)
+        if first_visit:
+            stats.candidate_spaces_built += 1
+        if not feasible:
+            return [False] * len(compiled_models)
+        masks = context.po_masks_column(compiled_models, stats, kernel=strategy.kernel)
+        verdicts = context.verdicts
+        if derive:
+            undecided = sorted(
+                set(masks).difference(verdicts),
+                key=lambda mask: (-bin(mask).count("1"), mask),
+            )
+            for mask in undecided:
+                verdict = None
+                for known_mask, known in verdicts.items():
+                    if known and (mask & known_mask) == mask:
+                        verdict = True  # subset of an allowed mask
+                        break
+                    if not known and (mask & known_mask) == known_mask:
+                        verdict = False  # superset of a forbidden mask
+                        break
+                if verdict is None:
+                    verdict = strategy.decide(context, mask, stats)
+                else:
+                    stats.derived_verdicts += 1
+                verdicts[mask] = verdict
+            return [verdicts[mask] for mask in masks]
+        column = []
+        for mask in masks:
+            verdict = verdicts.get(mask)
+            if verdict is None:
+                verdict = verdicts[mask] = strategy.decide(context, mask, stats)
+            column.append(verdict)
         return column

@@ -3,8 +3,8 @@
 A :class:`KernelBackend` answers the two kernel-level questions the explicit
 strategy asks: run the decide/propagate/undo search for one po-edge set
 (:meth:`~KernelBackend.search`, returning the witness or None), and
-evaluate a compiled model's po-pair mask over an execution
-(:meth:`~KernelBackend.po_pair_mask`).  Two implementations:
+evaluate a column of compiled models' po-pair masks over an execution
+(:meth:`~KernelBackend.po_pair_masks`).  Two implementations:
 
 * ``bigint`` — the original Python-int kernel of
   :mod:`repro.checker.kernel` and the closure lowering of
@@ -32,7 +32,7 @@ import os
 from typing import List, Optional, Sequence, Tuple
 
 from repro.checker.kernel import IndexedExecution, KernelSearch, KernelWitness
-from repro.native.flatprog import flat_program, flat_program_multi
+from repro.native.flatprog import flat_program_multi
 from repro.native.problem import kernel_problem
 
 #: Environment variable consulted by ``auto`` kernel resolution.
@@ -82,19 +82,9 @@ class KernelBackend:
         """Decide admissibility for a model's program-order edges."""
         return self.search(indexed, po_edges) is not None
 
-    def po_pair_mask(self, indexed: IndexedExecution, compiled) -> int:
-        """Evaluate the compiled model's po-pair truth vector (an int mask)."""
-        raise NotImplementedError
-
     def po_pair_masks(self, indexed: IndexedExecution, compiled_list) -> List[int]:
-        """Evaluate a whole model column's truth vectors in one pass.
-
-        The native backend flattens the column to one combined program
-        (registers shared across models through the hash-consed node ids)
-        and evaluates it once; the base implementation just loops.  Always
-        bit-identical to per-model :meth:`po_pair_mask` calls.
-        """
-        return [self.po_pair_mask(indexed, compiled) for compiled in compiled_list]
+        """Evaluate a model column's po-pair truth vectors (int masks)."""
+        raise NotImplementedError
 
 
 class BigintKernelBackend(KernelBackend):
@@ -105,8 +95,8 @@ class BigintKernelBackend(KernelBackend):
     def search(self, indexed, po_edges):
         return KernelSearch(indexed, po_edges).run()
 
-    def po_pair_mask(self, indexed, compiled) -> int:
-        return compiled.mask_program(indexed)
+    def po_pair_masks(self, indexed, compiled_list):
+        return [compiled.mask_program(indexed) for compiled in compiled_list]
 
 
 class NativeKernelBackend(KernelBackend):
@@ -124,16 +114,9 @@ class NativeKernelBackend(KernelBackend):
             return None
         return problem.witness(result[0], result[1])
 
-    def po_pair_mask(self, indexed, compiled) -> int:
-        program = flat_program(compiled.root)
-        problem = kernel_problem(indexed)
-        atoms: List[bytes] = problem.atom_words_list(program.atoms)
-        mask_bytes = problem.native().eval_program(
-            program.codes_bytes, program.num_instructions, atoms
-        )
-        return int.from_bytes(mask_bytes, "little")
-
     def po_pair_masks(self, indexed, compiled_list):
+        # One combined program for the column: registers are shared across
+        # models through the hash-consed node ids, evaluated in one pass.
         if not compiled_list:
             return []
         program = flat_program_multi([compiled.root for compiled in compiled_list])

@@ -20,14 +20,13 @@ is tabulated in Python (memoized per execution in ``_node_masks`` like the
 bigint path) and handed to the evaluator as data, so even callable-defined
 models run through the native evaluator.
 
-Programs are cached per IR root node id in a size-capped table, mirroring
-the closure cache the bigint lowering keeps on the node itself.
-
-A whole model *column* flattens to one combined program
+A model *column* flattens to one combined program
 (:func:`flat_program_multi`): the roots share a single register file keyed
 by node id, so a subformula shared by N models — the common case in the
 hash-consed parametric space — is one instruction, not N, and the per-root
 output registers let a single evaluator pass answer every model at once.
+Programs are cached per root-id tuple in a size-capped table, mirroring
+the closure cache the bigint lowering keeps on the node itself.
 """
 
 from __future__ import annotations
@@ -70,23 +69,11 @@ class FlatProgram:
         self.outputs_bytes = outputs.tobytes()
 
 
-#: root node_id -> FlatProgram; capped like the other compile-layer caches
-#: so serve sessions fed ever-new model documents stay bounded.
-_FLAT_CACHE: Dict[int, FlatProgram] = {}
-#: (root node_id, ...) -> combined FlatProgram for a whole column.
+#: (root node_id, ...) -> combined FlatProgram for a whole column; capped
+#: like the other compile-layer caches so serve sessions fed ever-new model
+#: documents stay bounded.
 _MULTI_CACHE: Dict[Tuple[int, ...], FlatProgram] = {}
 _FLAT_CACHE_LIMIT = 8192
-
-
-def flat_program(root: IRNode) -> FlatProgram:
-    """Return (building and caching once per root) the root's flat program."""
-    program = _FLAT_CACHE.get(root.node_id)
-    if program is None:
-        program = _flatten([root])
-        if len(_FLAT_CACHE) >= _FLAT_CACHE_LIMIT:
-            _FLAT_CACHE.clear()
-        _FLAT_CACHE[root.node_id] = program
-    return program
 
 
 def flat_program_multi(roots: Sequence[IRNode]) -> FlatProgram:

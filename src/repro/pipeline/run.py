@@ -139,8 +139,9 @@ class PipelineConfig:
             doubles as the differential oracle for the adaptive layer.
         audit_rate: fraction (0..1) of skipped tests to re-check against
             the final matrix end-of-run; a refining row fails the run.
-        partition_checkpoint: where to write the partition checkpoint;
-            defaults to ``<run_dir>/partition.json`` when a run_dir is set.
+
+    Adaptive runs with a ``run_dir`` checkpoint the partition to
+    ``<run_dir>/partition.json``.
     """
 
     bound: str = "small"
@@ -157,7 +158,6 @@ class PipelineConfig:
     shard_retries: int = 2
     adaptive: bool = False
     audit_rate: float = 0.0
-    partition_checkpoint: Optional[str] = None
 
     def __post_init__(self) -> None:
         from repro.native.backend import KERNEL_CHOICES
@@ -189,8 +189,6 @@ class PipelineConfig:
             raise PipelineError("audit_rate must be between 0 and 1")
         if self.audit_rate and not self.adaptive:
             raise PipelineError("audit_rate requires adaptive mode")
-        if self.partition_checkpoint is not None and not self.adaptive:
-            raise PipelineError("partition_checkpoint requires adaptive mode")
 
     def suite_key(self) -> str:
         """The template suite to compare against: explicit, or matched."""
@@ -880,11 +878,9 @@ def run_pipeline(
     counters = {"raw": 0, "profile_skips": 0, "frontier_skips": 0}
     start_shard = 0
     partition_path: Optional[str] = None
-    if adaptive_space is not None:
-        partition_path = config.partition_checkpoint
-        if partition_path is None and run_dir is not None:
-            partition_path = os.path.join(run_dir, "partition.json")
-        if config.resume and partition_path is not None:
+    if adaptive_space is not None and run_dir is not None:
+        partition_path = os.path.join(run_dir, "partition.json")
+        if config.resume:
             template = _partition_template(
                 config, model_names, adaptive_space.digest()
             )
@@ -898,8 +894,7 @@ def run_pipeline(
                 counters["profile_skips"] = restored.profile_skips
                 counters["frontier_skips"] = restored.frontier_skips
                 start_shard = shards_resumed = restored.shards_folded
-                if run_dir is not None:
-                    _rebuild_profile_index(run_dir, start_shard, pindex)
+                _rebuild_profile_index(run_dir, start_shard, pindex)
     #: next shard index whose fold extends the contiguous folded prefix;
     #: the partition checkpoint only advances while the prefix is intact
     #: (a quarantined shard freezes it at the last sound state).

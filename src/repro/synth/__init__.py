@@ -10,11 +10,11 @@ hardware?" becomes one :class:`SynthesisEngine` call, or one
 ``repro synthesize`` invocation, or one ``synthesize`` request over
 ``repro serve``.
 
-Two cross-validating strategies compute the per-observation verdict
-columns — explicit enumeration through
-:meth:`~repro.engine.engine.CheckEngine.check_column` and incremental SAT
-over the per-test CNF skeletons — and share every downstream step, so
-their results are bit-identical by construction.
+Each per-observation verdict column is one
+:meth:`~repro.engine.engine.CheckEngine.check_column` of the shared
+engine, so synthesis runs on whichever backend that engine runs (the
+explicit kernel or incremental SAT); every downstream step is shared, so
+the backends' results agree by construction.
 """
 
 from repro.synth.observations import (

@@ -19,19 +19,14 @@ computes
   over the surviving models' exploration vectors, proposing the suite
   tests that best split the survivors.
 
-Two strategies produce the per-observation verdict columns:
-
-* ``enum`` — :meth:`~repro.engine.engine.CheckEngine.check_column`, the
-  cache-warm streaming path of whatever backend the engine runs;
-* ``sat`` — the per-test CNF skeleton (:meth:`TestContext.skeleton`) with
-  the persistent incremental solver, one ``solve(assumptions=...)`` per
-  *distinct* po-pair mask: models forcing identical program-order edges on
-  a test share one solver call (``synth_group_hits`` counts the sharing),
-  so large spaces don't pay one SAT call per model.
-
-Everything after the columns is shared code, so the two strategies are
-bit-identical by construction; the hypothesis differential suite asserts
-it anyway.
+Each observation's predicted verdicts over the space are one
+:meth:`~repro.engine.engine.CheckEngine.check_column` of the engine the
+synthesizer shares, so the column follows that engine's backend (explicit
+kernel or incremental SAT) and its per-test caches: models forcing the
+same program-order edges on a test share one kernel search or one
+``solve(assumptions=...)``.  Everything after the columns is shared code,
+so the backends agree by construction; the hypothesis differential suite
+asserts it anyway.
 """
 
 from __future__ import annotations
@@ -47,10 +42,6 @@ from repro.util import faults
 
 #: A resolved observation: the test plus the verdict observed for it.
 ResolvedObservation = Tuple[LitmusTest, bool]
-
-#: The synthesis strategy names (``auto`` resolves by engine backend).
-SYNTH_BACKENDS = ("enum", "sat", "auto")
-
 
 @dataclass(frozen=True)
 class ExclusionWitness:
@@ -94,7 +85,8 @@ class SynthesisResult:
 
     #: canonical space key ("deps" or "no_deps")
     space: str
-    #: strategy that produced the verdict columns ("enum" or "sat")
+    #: the engine strategy that produced the verdict columns
+    #: ("explicit" or "sat")
     backend: str
     #: the observations as (test name, observed verdict), in input order
     observations: Tuple[Tuple[str, bool], ...]
@@ -187,8 +179,9 @@ class SynthesisEngine:
             consistent models and the pool distinguishing-test suggestions
             are drawn from (typically the template suite plus L1..L9).
         engine: a shared :class:`~repro.engine.engine.CheckEngine` (or a
-            backend spec); sharing the session's engine keeps every per-test
-            context warm across requests.
+            backend spec) whose backend computes the verdict columns;
+            sharing the session's engine keeps every per-test context warm
+            across requests.
         preferred_tests: tests preferred among equal-gain suggestions (the
             paper's L1..L9).
         space: canonical space key recorded in the results.
@@ -210,30 +203,17 @@ class SynthesisEngine:
         self.space = space
 
     # ------------------------------------------------------------------
-    def resolve_backend(self, backend: str) -> str:
-        """Resolve ``auto`` to a concrete strategy for this engine."""
-        if backend not in SYNTH_BACKENDS:
-            raise ValueError(
-                f"unknown synthesis backend {backend!r} "
-                f"(expected one of {', '.join(SYNTH_BACKENDS)})"
-            )
-        if backend != "auto":
-            return backend
-        return "sat" if self.engine.strategy.name == "sat" else "enum"
-
     def synthesize(
         self,
         observations: Sequence[ResolvedObservation],
-        backend: str = "auto",
         suggest_tests: int = 3,
     ) -> SynthesisResult:
         """Run one synthesis query; see the module docstring for the parts."""
-        backend = self.resolve_backend(backend)
         stats = self.engine.stats
         before = stats.snapshot()
         stats.synth_runs += 1
 
-        columns = [self._column(test, backend) for test, _ in observations]
+        columns = [self._column(test) for test, _ in observations]
         observed = [bool(verdict) for _, verdict in observations]
         labels = tuple((test.name, obs) for (test, _), obs in zip(observations, observed))
 
@@ -286,7 +266,7 @@ class SynthesisEngine:
 
         return SynthesisResult(
             space=self.space,
-            backend=backend,
+            backend=self.engine.strategy.name,
             observations=labels,
             models_considered=len(names),
             consistent_models=consistent_names,
@@ -301,55 +281,11 @@ class SynthesisEngine:
     # ------------------------------------------------------------------
     # verdict columns
     # ------------------------------------------------------------------
-    def _column(self, test: LitmusTest, backend: str) -> List[bool]:
+    def _column(self, test: LitmusTest) -> List[bool]:
         """One observation's predicted verdicts over the whole space."""
         if faults._FAULTS:
-            faults.fire("synth.solve", test=test.name, backend=backend)
-        if backend == "enum":
-            return self.engine.check_column(test, self.models, retain=True)
-        return self._sat_column(test)
-
-    def _sat_column(self, test: LitmusTest) -> List[bool]:
-        """The SAT strategy: selector assumptions over the CNF skeleton.
-
-        The per-model assumption sets are derived from the same IR-memoized
-        po-pair masks the explicit kernel consumes, and deduplicated by
-        mask value before solving: one incremental ``solve`` answers every
-        model that forces the same program-order edges on this test
-        (counted by ``synth_group_hits``), with learned clauses persisting
-        across masks and across observations.
-        """
-        engine = self.engine
-        stats = engine.stats
-        compiled_models = engine.compiled_all(self.models)
-        context = engine.context(test)
-        stats.checks_performed += len(self.models)
-        if context.execution is None:
-            return [False] * len(self.models)
-        first_visit = not context.candidate_space_built
-        skeleton = context.skeleton()
-        if first_visit:
-            stats.candidate_spaces_built += 1
-        if skeleton.trivially_unsat:
-            return [False] * len(self.models)
-        masks = context.po_masks_column(compiled_models, stats)
-        solver = context.solver()
-        verdict_of_mask: Dict[int, bool] = {}
-        verdicts = []
-        for mask in masks:
-            verdict = verdict_of_mask.get(mask)
-            if verdict is None:
-                stats.clauses_reused += solver.num_learned_clauses()
-                stats.solver_calls += 1
-                stats.synth_solver_calls += 1
-                verdict = solver.solve(
-                    skeleton.po_assumptions_from_mask(mask)
-                ).satisfiable
-                verdict_of_mask[mask] = verdict
-            else:
-                stats.synth_group_hits += 1
-            verdicts.append(verdict)
-        return verdicts
+            faults.fire("synth.solve", test=test.name, backend=self.engine.strategy.name)
+        return self.engine.check_column(test, self.models, retain=True)
 
     # ------------------------------------------------------------------
     # explanations

@@ -99,12 +99,12 @@ def _known_synthesis(case):
     target = parametric_model("M4044")
     row = [(test, probe.check(test, target)) for test in L_TESTS]
     if case == "unique":
-        return fresh().synthesize(row, backend="enum")
+        return fresh().synthesize(row)
     if case == "conflict":
         flipped = [(row[0][0], not row[0][1])] + row[1:]
-        return fresh().synthesize(flipped, backend="enum")
+        return fresh().synthesize(flipped)
     assert case == "ambiguous"
-    return fresh().synthesize(row[:2], backend="enum")
+    return fresh().synthesize(row[:2])
 
 
 SYNTHESIS_GOLDEN_CASES = ("unique", "conflict", "ambiguous")

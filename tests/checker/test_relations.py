@@ -1,13 +1,12 @@
 """Tests for read-from candidates, coherence orders and forced edges."""
 
 
+from repro.checker.kernel import IndexedExecution
 from repro.checker.relations import (
-    enumerate_coherence_orders,
     enumerate_coherence_orders_reference,
     enumerate_read_from_maps,
     forced_edges,
     happens_before_graph,
-    po_respecting_store_orders,
     program_order_edges,
     read_from_candidates,
 )
@@ -62,7 +61,7 @@ def test_enumerate_read_from_maps_counts():
 def test_coherence_orders_respect_program_order():
     program = Program([Thread("T1", [Store("X", 1), Store("X", 2)]), Thread("T2", [Store("X", 3)])])
     execution = LitmusTest("coh", program, {}).execution()
-    orders = list(enumerate_coherence_orders(execution))
+    orders = list(enumerate_coherence_orders_reference(execution))
     # 3 stores to X, same-thread pair fixed in program order: 3 interleavings
     assert len(orders) == 3
     for order in orders:
@@ -72,7 +71,8 @@ def test_coherence_orders_respect_program_order():
 
 
 def test_direct_coherence_generation_matches_reference_sequence():
-    """The interleaving generator reproduces permute-then-filter exactly."""
+    """The kernel's index-level interleaving generator reproduces the
+    permute-then-filter oracle's per-location orders exactly, in order."""
     programs = [
         Program([Thread("T1", [Store("X", 1), Store("X", 2)]), Thread("T2", [Store("X", 3)])]),
         Program(
@@ -92,37 +92,38 @@ def test_direct_coherence_generation_matches_reference_sequence():
             if isinstance(instruction, Load)
         }
         execution = LitmusTest(f"coh{index}", program, reads).execution()
-        direct = list(enumerate_coherence_orders(execution))
-        reference = list(enumerate_coherence_orders_reference(execution))
+        indexed = IndexedExecution(execution)
+        index_of = {event: i for i, event in enumerate(indexed.events)}
+        # The oracle yields whole combinations; project each location's
+        # distinct orders, in first-appearance order.
+        reference = {location: [] for location in indexed.locations}
+        for combination in enumerate_coherence_orders_reference(execution):
+            for location, stores in combination.items():
+                order = tuple(index_of[store] for store in stores)
+                if order not in reference[location]:
+                    reference[location].append(order)
+        direct = {
+            location: list(orders)
+            for location, orders in indexed.coherence_orders_at.items()
+        }
         assert direct == reference
 
 
-def test_po_respecting_store_orders_counts_interleavings():
+def test_kernel_store_orders_count_interleavings():
     program = Program(
         [Thread("T1", [Store("X", 1), Store("X", 2)]), Thread("T2", [Store("X", 3), Store("X", 4)])]
     )
     execution = LitmusTest("interleave", program, {}).execution()
-    orders = po_respecting_store_orders(execution.stores_to("X"))
+    indexed = IndexedExecution(execution)
+    orders = indexed.coherence_orders_at["X"]
     assert len(orders) == 6  # C(4, 2) interleavings of two chains of two
-    assert po_respecting_store_orders([]) == [()]
+    assert indexed._store_orders(()) == ((),)
+    events = indexed.events
     for order in orders:
         for i, earlier in enumerate(order):
-            assert not any(later.program_order_before(earlier) for later in order[i + 1 :])
-
-
-def test_forced_edges_accepts_precomputed_coherence_positions():
-    execution = TEST_A.execution()
-    loads = execution.loads()
-    read_from = {loads[0]: None, loads[1]: execution.event(1, 0), loads[2]: None}
-    coherence = {location: tuple(execution.stores_to(location)) for location in execution.locations()}
-    from repro.checker.relations import coherence_position_map
-    from repro.core.catalog import TSO as TSO_MODEL
-
-    positions = coherence_position_map(coherence)
-
-    assert forced_edges(execution, TSO_MODEL, read_from, coherence) == forced_edges(
-        execution, TSO_MODEL, read_from, coherence, coherence_position=positions
-    )
+            assert not any(
+                events[later].program_order_before(events[earlier]) for later in order[i + 1 :]
+            )
 
 
 def test_program_order_edges_depend_on_model():

@@ -115,7 +115,8 @@ def test_exploration_reports_engine_stats(exploration):
     assert stats.executions_evaluated == len(exploration.tests)
     assert stats.checks_performed == exploration.checks_performed
     assert stats.checks_performed == len(exploration.models) * len(exploration.tests)
-    assert stats.context_cache_hits == len(exploration.tests) * (len(exploration.models) - 1)
+    # One verdict column per test: each context is resolved once.
+    assert stats.context_cache_hits == 0
 
 
 def test_exploration_is_identical_on_both_engine_backends():
@@ -126,5 +127,7 @@ def test_exploration_is_identical_on_both_engine_backends():
     assert explicit.vectors == sat.vectors
     assert explicit.equivalence_classes == sat.equivalence_classes
     assert explicit.hasse_edges == sat.hasse_edges
-    assert sat.stats.solver_calls == len(models) * len(explicit.tests)
+    # One solve per distinct po-mask of a test: the masks the kernel searched.
+    searches = explicit.stats.native_searches + explicit.stats.fallback_searches
+    assert sat.stats.solver_calls == searches
 

@@ -57,7 +57,7 @@ def test_all_backends_compute_identical_masks(test, model):
         # A fresh IndexedExecution per backend: no shared mask caches, so
         # each backend's evaluator actually runs.
         indexed = IndexedExecution(execution)
-        mask = backend.po_pair_mask(indexed, compiled)
+        (mask,) = backend.po_pair_masks(indexed, [compiled])
         if reference is None:
             reference = mask
         else:
@@ -141,7 +141,7 @@ def test_native_matches_bigint_across_word_boundaries(n):
     masks = bigint.po_pair_masks(IndexedExecution(execution), compiled)
     assert native.po_pair_masks(IndexedExecution(execution), compiled) == masks
     for entry, mask in zip(compiled, masks):
-        assert native.po_pair_mask(IndexedExecution(execution), entry) == mask
+        assert native.po_pair_masks(IndexedExecution(execution), [entry]) == [mask]
 
     verdicts = {}
     for model in models:
@@ -196,10 +196,10 @@ def test_native_backend_reports_native():
 def test_batched_atom_masks_match_python_path(test, model):
     """`atom_words_list` (one C call for builtin atoms) must be bit-identical
     to `atom_words` (per-node Python masks), cold and warm."""
-    from repro.native.flatprog import flat_program
+    from repro.native.flatprog import flat_program_multi
 
     compiled = compile_model(model.to_memory_model())
-    program = flat_program(compiled.root)
+    program = flat_program_multi([compiled.root])
     execution = test.execution()
 
     reference_problem = kernel_problem(IndexedExecution(execution))

@@ -613,8 +613,6 @@ def test_config_validation_for_adaptive_options():
         PipelineConfig(audit_rate=1.5, adaptive=True)
     with pytest.raises(PipelineError, match="requires adaptive"):
         PipelineConfig(audit_rate=0.5)
-    with pytest.raises(PipelineError, match="requires adaptive"):
-        PipelineConfig(partition_checkpoint="/tmp/p.json")
 
 
 def test_xlarge_bound_is_registered():
@@ -625,25 +623,10 @@ def test_xlarge_bound_is_registered():
 
 
 def test_exhaustive_request_roundtrips_adaptive_fields():
-    request = ExhaustiveRequest(
-        bound="tiny", adaptive=True, audit_rate=0.25,
-        partition_checkpoint="/tmp/p.json",
-    )
+    request = ExhaustiveRequest(bound="tiny", adaptive=True, audit_rate=0.25)
     wire = request_to_json(request)
     assert wire["adaptive"] is True and wire["audit_rate"] == 0.25
     assert request_from_json(wire) == request
-
-
-def test_session_rejects_partition_checkpoint_when_path_restricted(tmp_path):
-    session = Session(kernel="bigint")
-    session.tests.allow_paths = False
-    with pytest.raises(ValueError, match="partition_checkpoint"):
-        session.run(
-            ExhaustiveRequest(
-                bound="tiny", adaptive=True,
-                partition_checkpoint=str(tmp_path / "p.json"),
-            )
-        )
 
 
 def test_session_runs_adaptive_exhaustive_end_to_end(tmp_path):

@@ -1,10 +1,10 @@
-"""Differential testing: the enum and SAT synthesis strategies must agree.
+"""Differential testing: synthesis on the explicit and SAT engines must agree.
 
 Random observation subsets — true rows of the 90-model × template-suite
 verdict matrix, with optional flips to produce inconsistent or ambiguous
 inputs — must yield identical consistent sets, weakest/strongest models,
-witnesses, conflict cores, and suggestions from both strategies.  Only the
-``backend`` label and the engine counters may differ.
+witnesses, conflict cores, and suggestions on both engine backends.  Only
+the ``backend`` label and the engine counters may differ.
 """
 
 import dataclasses
@@ -27,21 +27,25 @@ _SETTINGS = settings(
 
 @pytest.fixture(scope="module")
 def harness():
-    """One warm engine, the 90-model space, and its true verdict matrix."""
+    """One warm synthesizer per engine backend, the 90-model space, and its
+    true verdict matrix."""
     models = ModelRegistry().space("deps")
     suite = TestRegistry().suite("standard")
-    engine = CheckEngine()
-    synth = SynthesisEngine(
-        models,
-        list(L_TESTS),  # a small dominance suite keeps examples fast
-        engine=engine,
-        preferred_tests=L_TESTS,
-        space="deps",
-    )
+    synths = {
+        backend: SynthesisEngine(
+            models,
+            list(L_TESTS),  # a small dominance suite keeps examples fast
+            engine=CheckEngine(backend),
+            preferred_tests=L_TESTS,
+            space="deps",
+        )
+        for backend in ("explicit", "sat")
+    }
+    engine = synths["explicit"].engine
     matrix = {
         test.name: engine.check_column(test, models, retain=True) for test in suite
     }
-    return synth, suite, matrix, [model.name for model in models]
+    return synths, suite, matrix, [model.name for model in models]
 
 
 def _strip(result):
@@ -51,7 +55,7 @@ def _strip(result):
 @given(data=st.data())
 @_SETTINGS
 def test_enum_and_sat_agree_on_random_observation_subsets(harness, data):
-    synth, suite, matrix, model_names = harness
+    synths, suite, matrix, model_names = harness
     model = data.draw(st.sampled_from(model_names), label="observed model")
     indices = data.draw(
         st.lists(
@@ -72,10 +76,10 @@ def test_enum_and_sat_agree_on_random_observation_subsets(harness, data):
         for i, flip in zip(indices, flips)
     ]
 
-    enum = synth.synthesize(observations, backend="enum", suggest_tests=3)
-    sat = synth.synthesize(observations, backend="sat", suggest_tests=3)
+    enum = synths["explicit"].synthesize(observations, suggest_tests=3)
+    sat = synths["sat"].synthesize(observations, suggest_tests=3)
 
-    assert enum.backend == "enum" and sat.backend == "sat"
+    assert enum.backend == "explicit" and sat.backend == "sat"
     assert _strip(enum) == _strip(sat)
 
     # Unflipped rows must keep the observed model consistent; the verdict
@@ -91,7 +95,7 @@ def test_enum_and_sat_agree_on_random_observation_subsets(harness, data):
 @given(data=st.data())
 @_SETTINGS
 def test_witnesses_and_cores_are_sound_for_both_strategies(harness, data):
-    synth, suite, matrix, model_names = harness
+    synths, suite, matrix, model_names = harness
     indices = data.draw(
         st.lists(
             st.integers(min_value=0, max_value=len(suite) - 1),
@@ -107,8 +111,8 @@ def test_witnesses_and_cores_are_sound_for_both_strategies(harness, data):
     )
     observations = [(suite[i], want) for i, want in zip(indices, verdicts)]
 
-    for backend in ("enum", "sat"):
-        result = synth.synthesize(observations, backend=backend, suggest_tests=0)
+    for synth in synths.values():
+        result = synth.synthesize(observations, suggest_tests=0)
         # Every witness quotes a real contradiction against the true matrix.
         by_name = {test.name: want for test, want in observations}
         for witness in result.witnesses:

@@ -3,7 +3,7 @@
 The three outcomes the CLI promises — a complete verdict vector pins the
 unique model, an inconsistent vector yields a minimal conflict core, an
 ambiguous prefix yields distinguishing-test suggestions — each checked
-with the enumeration and SAT strategies agreeing bit-for-bit.
+with the explicit and SAT engines agreeing bit-for-bit.
 """
 
 import dataclasses
@@ -15,7 +15,6 @@ from repro.api.requests import SynthesizeRequest
 from repro.api.session import Session
 from repro.engine.engine import CheckEngine, EngineStats
 from repro.synth import SynthesisEngine, SynthesisResult
-from repro.synth.engine import SYNTH_BACKENDS
 
 TARGET = "M4044"
 
@@ -31,6 +30,18 @@ def synth(session):
 
 
 @pytest.fixture(scope="module")
+def sat_synth(synth):
+    """The same query surface on a SAT engine."""
+    return SynthesisEngine(
+        synth.models,
+        synth.comparison_tests,
+        engine=CheckEngine("sat"),
+        preferred_tests=synth.preferred_tests,
+        space=synth.space,
+    )
+
+
+@pytest.fixture(scope="module")
 def target_row(session, synth):
     """The complete (test, verdict) vector of the target model."""
     target = session.models.resolve(TARGET)
@@ -41,22 +52,22 @@ def target_row(session, synth):
 
 
 def _comparable(result: SynthesisResult) -> SynthesisResult:
-    """Strip the fields that legitimately differ between strategies."""
+    """Strip the fields that legitimately differ between backends."""
     return dataclasses.replace(result, backend="", stats=None)
 
 
-def _both(synth, observations, **kwargs):
-    enum = synth.synthesize(observations, backend="enum", **kwargs)
-    sat = synth.synthesize(observations, backend="sat", **kwargs)
-    assert _comparable(enum) == _comparable(sat)
-    return enum
+def _both(synth, sat_synth, observations, **kwargs):
+    explicit = synth.synthesize(observations, **kwargs)
+    sat = sat_synth.synthesize(observations, **kwargs)
+    assert _comparable(explicit) == _comparable(sat)
+    return explicit
 
 
 # ----------------------------------------------------------------------
 # the three acceptance outcomes
 # ----------------------------------------------------------------------
-def test_complete_vector_identifies_the_unique_model(synth, target_row):
-    result = _both(synth, target_row)
+def test_complete_vector_identifies_the_unique_model(synth, sat_synth, target_row):
+    result = _both(synth, sat_synth, target_row)
     assert result.models_considered == 90
     assert result.unique_model == TARGET
     assert result.weakest == result.strongest == (TARGET,)
@@ -64,9 +75,9 @@ def test_complete_vector_identifies_the_unique_model(synth, target_row):
     assert not result.conflict_core and not result.suggestions
 
 
-def test_inconsistent_vector_yields_a_minimal_conflict_core(synth, target_row):
+def test_inconsistent_vector_yields_a_minimal_conflict_core(synth, sat_synth, target_row):
     flipped = [(target_row[0][0], not target_row[0][1])] + target_row[1:]
-    result = _both(synth, flipped)
+    result = _both(synth, sat_synth, flipped)
     assert not result.consistent
     assert len(result.witnesses) == 90
     assert result.conflict_core
@@ -77,15 +88,15 @@ def test_inconsistent_vector_yields_a_minimal_conflict_core(synth, target_row):
     # dropping any single member readmits at least one.
     by_name = {test.name: (test, verdict) for test, verdict in flipped}
     core = [by_name[name] for name in result.conflict_core]
-    assert not synth.synthesize(core, backend="enum", suggest_tests=0).consistent
+    assert not synth.synthesize(core, suggest_tests=0).consistent
     for skip in range(len(core)):
         reduced = core[:skip] + core[skip + 1 :]
-        readmitted = synth.synthesize(reduced, backend="enum", suggest_tests=0)
+        readmitted = synth.synthesize(reduced, suggest_tests=0)
         assert readmitted.consistent, f"core member {core[skip][0].name} is redundant"
 
 
-def test_ambiguous_prefix_suggests_distinguishing_tests(synth, target_row):
-    result = _both(synth, target_row[:3])
+def test_ambiguous_prefix_suggests_distinguishing_tests(synth, sat_synth, target_row):
+    result = _both(synth, sat_synth, target_row[:3])
     assert len(result.consistent_models) > 1
     assert TARGET in result.consistent_models
     assert result.weakest and result.strongest
@@ -100,13 +111,13 @@ def test_ambiguous_prefix_suggests_distinguishing_tests(synth, target_row):
     # capped by suggest_tests.
     names = [suggestion.test for suggestion in result.suggestions]
     assert len(set(names)) == len(names) <= 3
-    capped = synth.synthesize(target_row[:3], backend="enum", suggest_tests=1)
+    capped = synth.synthesize(target_row[:3], suggest_tests=1)
     assert len(capped.suggestions) == 1
     assert capped.suggestions[0] == first
 
 
-def test_no_observations_means_everything_is_consistent(synth):
-    result = _both(synth, [], suggest_tests=2)
+def test_no_observations_means_everything_is_consistent(synth, sat_synth):
+    result = _both(synth, sat_synth, [], suggest_tests=2)
     assert len(result.consistent_models) == 90
     assert not result.witnesses and not result.conflict_core
     assert result.suggestions  # the whole space still splits on some test
@@ -148,36 +159,35 @@ def test_synthesis_engines_are_cached_per_space(session):
 # backends and stats
 # ----------------------------------------------------------------------
 def test_backend_resolution():
-    enum_engine = SynthesisEngine([], [], engine=CheckEngine(backend="explicit"))
-    assert enum_engine.resolve_backend("auto") == "enum"
-    sat_engine = SynthesisEngine([], [], engine=CheckEngine(backend="sat"))
-    assert sat_engine.resolve_backend("auto") == "sat"
-    for explicit in ("enum", "sat"):
-        assert enum_engine.resolve_backend(explicit) == explicit
-    with pytest.raises(ValueError, match="unknown synthesis backend"):
-        enum_engine.resolve_backend("cnf")
-    assert set(SYNTH_BACKENDS) == {"enum", "sat", "auto"}
+    """Synthesis follows the engine's backend and records its name."""
+    for backend in ("explicit", "sat"):
+        synth = SynthesisEngine([], [], engine=CheckEngine(backend=backend))
+        assert synth.synthesize([]).backend == backend
+    request = SynthesizeRequest(space="paper36")
+    assert not hasattr(request, "backend")
+    sat_session = Session(backend="sat")
+    assert sat_session.run(request).backend == "sat"
 
 
 def test_sat_backend_groups_models_by_po_mask(synth, target_row):
-    result = synth.synthesize(target_row[:5], backend="sat")
+    cold = SynthesisEngine(synth.models, synth.comparison_tests, engine=CheckEngine("sat"))
+    result = cold.synthesize(target_row)  # unique: no dominance exploration
     stats = result.stats
     assert stats.synth_runs == 1
-    assert 0 < stats.synth_solver_calls <= 5 * 90
+    assert stats.checks_performed == len(target_row) * 90
     # Mask grouping is the point: far fewer solver calls than checks.
-    assert stats.synth_group_hits > 0
-    assert stats.synth_solver_calls + stats.synth_group_hits == 5 * 90
+    assert 0 < stats.solver_calls < len(target_row) * 90 // 4
 
 
 def test_synth_counters_flow_through_merge_since_and_describe():
-    base = EngineStats(synth_runs=2, synth_solver_calls=7, synth_group_hits=11)
+    base = EngineStats(synth_runs=2, solver_calls=7)
     merged = EngineStats()
     merged.merge(base.as_dict())
     assert merged.synth_runs == 2
-    assert merged.synth_solver_calls == 7
+    assert merged.solver_calls == 7
     delta = base.since(EngineStats(synth_runs=1))
     assert delta.synth_runs == 1
-    assert delta.synth_group_hits == 11
+    assert delta.solver_calls == 7
     assert "2 synthesis runs" in base.describe()
-    assert "7 synthesis SAT calls" in base.describe()
-    assert base.as_dict()["synth_group_hits"] == 11
+    assert "7 SAT calls" in base.describe()
+    assert base.as_dict()["synth_runs"] == 2
