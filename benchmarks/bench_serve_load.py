@@ -7,8 +7,8 @@ against the socket transport, in three legs:
   models the paper compares, replayed 8 times by each client; every
   request runs the engine;
 * **repeat mix, cache on** — the same mix against a warm verdict cache,
-  where repeats are answered from the response-line memo over the
-  cache-hit fast path;
+  where the engine's verdict-cache lookup answers each first sighting
+  and the per-connection response memo answers the repeats;
 * **miss-heavy, cache on** — distinct inline tests (the canonical
   enumeration at bound ``small``), so every request misses the cache and
   runs the engine.
@@ -175,7 +175,7 @@ def test_serve_repeat_cache_off(benchmark):
 
 @pytest.mark.benchmark(group="serve-load")
 def test_serve_repeat_cache_on(benchmark):
-    """The repeat mix on a warm cache: repeats ride the memo/fast path."""
+    """The repeat mix on a warm cache: repeats are answered by the memo."""
     session, config = _cache_on()
     harness = _LoadHarness(session, config)
     try:
@@ -186,7 +186,7 @@ def test_serve_repeat_cache_on(benchmark):
     finally:
         harness.close()
     _record(benchmark, elapsed, N_CLIENTS * len(LINES) * REPEATS)
-    assert session.engine.stats.verdict_cache_hits > 0  # the fast path engaged
+    assert session.engine.stats.verdict_cache_hits > 0  # the cache answered
 
 
 @pytest.mark.benchmark(group="serve-load")

@@ -28,7 +28,7 @@ class CheckRequest:
 
     With ``witness=True`` the result carries a happens-before witness when
     the execution is allowed (at the cost of one extra witness-producing
-    check outside the engine's cached fast path).
+    check outside the engine and its verdict cache).
     """
 
     test: TestSpec

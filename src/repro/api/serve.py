@@ -13,14 +13,16 @@ Transports:
 * stdin/stdout (the default);
 * a TCP socket (``--port``): one JSON-lines conversation per connection.
   Each connection gets its own lightweight :meth:`Session.view` (private
-  registries over one shared engine) and its own thread.  ``check``
-  requests whose verdict is already in the shared digest-keyed verdict
-  cache (``--cache-dir``; see :mod:`repro.cache`) are answered without
-  running the engine — the concurrency fast path.
+  registries over one shared engine) and its own thread.
 
 Both transports share one execution path: an engine-touching request
 runs on the thread that read it, under the engine lock, or on a
-watchdog thread when a ``--timeout`` is set.
+watchdog thread when a ``--timeout`` is set.  A ``check`` whose verdict
+is already in the shared digest-keyed verdict cache (see
+:mod:`repro.cache`) takes that same path and is answered from the cache
+inside the engine.  In front of it, each conversation keeps a response
+memo: a request line whose answer came wholly from the verdict cache is
+answered again, on a repeat, with its rendered response line.
 
 Protocol::
 
@@ -57,7 +59,7 @@ Robustness (see ``docs/operations.md`` for the full operational story):
 * **Backpressure.**  At most ``--max-connections`` conversations run
   concurrently; beyond that, connections wait in a bounded admission
   queue and are shed with a one-line ``overloaded`` error once the queue
-  is full (or the wait exceeds the admission timeout).
+  is full (or the wait exceeds :data:`ADMISSION_TIMEOUT`).
 * **Idle timeouts.**  Socket connections idle past ``--idle-timeout``
   are closed.
 * **Graceful drain.**  SIGTERM/SIGINT stop the accept loop, let in-flight
@@ -87,6 +89,7 @@ from repro.api.metrics import ServeMetrics, metrics_document, start_metrics_serv
 from repro.api.requests import request_from_json
 from repro.api.serialize import envelope, to_json
 from repro.api.session import Session
+from repro.engine.engine import EngineStats
 from repro.util import faults
 
 # ----------------------------------------------------------------------
@@ -147,22 +150,16 @@ def error_response(code: str, message: str, op: Optional[str] = None) -> Dict[st
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-def _env_value(name: str, cast: Callable, default):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        return default
+#: How long a queued connection waits for a slot before being shed.
+ADMISSION_TIMEOUT = 10.0
 
 
 @dataclass
 class ServeConfig:
     """Limits and operational knobs for the serve loop.
 
-    Every field has a CLI flag and a ``REPRO_SERVE_*`` environment
-    variable (flag > env > default); see :meth:`from_env`.
+    Every limit has a CLI flag (see :func:`add_serve_arguments`); values
+    out of range raise :class:`ValueError` on construction.
     """
 
     #: per-request deadline in seconds; None = unbounded
@@ -174,8 +171,6 @@ class ServeConfig:
     max_connections: int = 64
     #: connections allowed to wait for a slot before being shed
     admission_queue: int = 128
-    #: how long a queued connection waits for a slot before being shed
-    admission_timeout: float = 10.0
     #: close socket connections idle this long; None = never
     idle_timeout: Optional[float] = 300.0
     #: how long a drain waits for in-flight requests before giving up
@@ -191,31 +186,17 @@ class ServeConfig:
     #: emit structured log events at all
     log_enabled: bool = True
 
-    @classmethod
-    def from_env(cls, **overrides: object) -> "ServeConfig":
-        """Build a config from ``REPRO_SERVE_*`` variables plus overrides.
-
-        Overrides whose value is ``None`` are ignored, so CLI flags that
-        were not passed fall through to the environment, then defaults.
-        """
-        config = cls(
-            timeout=_env_value("REPRO_SERVE_TIMEOUT", float, None),
-            max_line_bytes=_env_value("REPRO_SERVE_MAX_LINE_BYTES", int, cls.max_line_bytes),
-            max_connections=_env_value("REPRO_SERVE_MAX_CONNECTIONS", int, cls.max_connections),
-            admission_queue=_env_value("REPRO_SERVE_ADMISSION_QUEUE", int, cls.admission_queue),
-            admission_timeout=_env_value(
-                "REPRO_SERVE_ADMISSION_TIMEOUT", float, cls.admission_timeout
-            ),
-            idle_timeout=_env_value("REPRO_SERVE_IDLE_TIMEOUT", float, cls.idle_timeout),
-            drain_grace=_env_value("REPRO_SERVE_DRAIN_GRACE", float, cls.drain_grace),
-            cache_dir=_env_value("REPRO_SERVE_CACHE_DIR", str, None),
-            cache_capacity=_env_value("REPRO_SERVE_CACHE_CAPACITY", int, cls.cache_capacity),
-            metrics_port=_env_value("REPRO_SERVE_METRICS_PORT", int, None),
-        )
-        for name, value in overrides.items():
-            if value is not None:
-                setattr(config, name, value)
-        return config
+    def __post_init__(self) -> None:
+        for name in ("max_line_bytes", "max_connections"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("admission_queue", "drain_grace", "cache_capacity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative, got {getattr(self, name)}")
+        for name in ("timeout", "idle_timeout"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive when set, got {value}")
 
 
 class ServerState:
@@ -274,6 +255,27 @@ class ServerState:
                 code = (response.get("error") or {}).get("code", "internal")
                 self.errors_by_code[code] = self.errors_by_code.get(code, 0) + 1
             self._idle.notify_all()
+
+    def record_request(self, op: Optional[str], code: Optional[str], started: float) -> None:
+        """Book one answered request in the metrics and the ``request`` log."""
+        duration = time.monotonic() - started
+        self.metrics.record(op, code if code else "ok", duration)
+        self.log(
+            "request",
+            op=op,
+            ok=code is None,
+            code=code,
+            duration_ms=round(duration * 1000.0, 3),
+        )
+
+    def begin_drain(self, cause: str) -> bool:
+        """Stop taking new work; False if a drain had already begun."""
+        with self.lock:
+            if self.draining:
+                return False
+            self.draining = True
+        self.log("drain_begin", cause=cause, in_flight=self.in_flight)
+        return True
 
     def wait_idle(self, grace: float) -> bool:
         """Wait until no request is in flight; False if ``grace`` ran out."""
@@ -385,69 +387,28 @@ def _builtin_result(
     }
 
 
-#: Request-document keys the cache fast path understands; anything else
-#: (enveloped documents, unknown fields) takes the full validation path.
-_FAST_CHECK_KEYS = frozenset(("op", "test", "model", "witness"))
-
-
-def _fast_check(session: Session, document: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """Answer a warm ``check`` from the verdict cache, or None to fall through.
-
-    This is the serve concurrency fast path: no request dataclass, no
-    engine dispatch, no full stats snapshot — just two registry dict hits,
-    one cache lookup and one brief engine-lock acquisition for the
-    counters.  Only taken when it provably answers
-    exactly what the slow path would: a bare witness-less ``check`` of a
-    registered test name against a registered model name whose
-    ``(model digest, test digest)`` verdict is already cached.
-    """
-    engine = session.engine
-    vcache = engine.verdict_cache
-    if vcache is None or faults._FAULTS:
-        return None
-    if document.get("witness") or not _FAST_CHECK_KEYS.issuperset(document):
-        return None
-    test_spec = document.get("test")
-    model_spec = document.get("model")
-    if not isinstance(test_spec, str) or not isinstance(model_spec, str):
-        return None
-    if test_spec not in session.tests or model_spec not in session.models:
-        return None
-    test = session.tests.resolve(test_spec)
-    model = session.models.resolve(model_spec)
-    key = vcache.key_for(test, model)
-    if key is None:
-        return None
-    verdict = vcache.get(key)
-    if verdict is None:
-        return None
-    with engine.lock:
-        engine.stats.checks_performed += 1
-        engine.stats.verdict_cache_hits += 1
-        kernel_backend = engine.stats.kernel_backend
-    from repro.checker.result import CheckResult
-    from repro.engine.engine import EngineStats
-
-    result = CheckResult(
-        allowed=verdict, test_name=test.name, model_name=model.name,
-        witness=None, reason="",
-    )
-    delta = EngineStats(
-        checks_performed=1, verdict_cache_hits=1, kernel_backend=kernel_backend
-    )
-    response = envelope("response")
-    response.update(
-        {"ok": True, "op": "check", "result": to_json(result), "stats": delta.as_dict()}
-    )
-    return response
-
-
-#: Per-connection response-memo capacity (distinct request lines).
+#: Per-connection response-memo capacity (distinct request lines); a full
+#: memo is cleared and starts over.
 _MEMO_LIMIT = 1024
+
+#: The stats delta of a ``check`` answered wholly from the verdict cache
+#: (with an empty ``kernel_backend`` label).
+_CACHE_HIT_DELTA = EngineStats(checks_performed=1, verdict_cache_hits=1).as_dict()
+
+#: What the request accounting sees of a memo hit: a successful answer.
+_MEMO_HIT: Dict[str, Any] = {"ok": True}
+
+
+def _answered_from_cache(response: Dict[str, Any]) -> bool:
+    """Whether ``response`` is a ``check`` answered wholly from the verdict
+    cache: one check, one verdict-cache hit, and no other counter set."""
+    if response.get("op") != "check" or not response.get("ok"):
+        return False
+    return dict(response["stats"], kernel_backend="") == _CACHE_HIT_DELTA
 
 
 def _count_memo_hit(session: Session) -> None:
-    """Book a memoised cache-hit check with exactly the fast path's delta."""
+    """Book a memoised check with the stats delta it was memoised for."""
     engine = session.engine
     with engine.lock:
         engine.stats.checks_performed += 1
@@ -463,7 +424,6 @@ def handle_request_line(
     state: Optional[ServerState] = None,
     config: Optional[ServeConfig] = None,
     counted: bool = False,
-    memo: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> Dict[str, Any]:
     """Answer one JSON request line; never raises on any input.
 
@@ -472,30 +432,13 @@ def handle_request_line(
     serialises on the engine lock (see :func:`_dispatch`).  ``counted``
     tells builtin ops whether the caller already counted this request in
     the in-flight gauge.
-
-    ``memo`` is the connection-private response memo (L1 of the cache
-    hierarchy, above the process verdict cache and its persistent tier):
-    a repeated verbatim fast-path check line is answered from it with one
-    dict hit plus the counter bump.  Deterministic verdicts make the
-    repeat response byte-identical, so only registry rebinding can
-    invalidate it — any request that reaches the generic path clears the
-    memo wholesale.
     """
     if config is None:
         config = state.config if state is not None else ServeConfig()
     response = envelope("response")
     op: Optional[str] = None
-    preserve_memo = False
     started = time.monotonic()
     try:
-        if memo is not None and not faults._FAULTS:
-            hit = memo.get(line)
-            if hit is not None:
-                op = "check"
-                _count_memo_hit(session)
-                preserve_memo = True
-                response = hit
-                return response
         try:
             document = json.loads(line)
         except ValueError as error:
@@ -506,20 +449,11 @@ def handle_request_line(
         if op in BUILTIN_OPS:
             # Built-in ops bypass the engine lock and the deadline so they
             # answer even while the engine is wedged on a long request.
-            preserve_memo = True  # read-only: cannot rebind registries
             response.update(
                 {"ok": True, "op": op,
                  "result": _builtin_result(op, session, state, counted=counted)}
             )
             return response
-        if op == "check":
-            fast = _fast_check(session, document)
-            if fast is not None:
-                if memo is not None and not faults._FAULTS and len(memo) < _MEMO_LIMIT:
-                    memo[line] = fast
-                preserve_memo = True
-                response = fast
-                return response
         request = request_from_json(document)
         op = request.op
         if config.timeout is None:
@@ -571,21 +505,8 @@ def handle_request_line(
             }
         )
     finally:
-        if memo is not None and not preserve_memo and memo:
-            # Anything that reached the generic path may have rebound a
-            # registry name out from under a memoised response.
-            memo.clear()
         if state is not None:
-            duration = time.monotonic() - started
-            code = (response.get("error") or {}).get("code")
-            state.metrics.record(op, code if code else "ok", duration)
-            state.log(
-                "request",
-                op=op,
-                ok=bool(response.get("ok")),
-                code=code,
-                duration_ms=round(duration * 1000.0, 3),
-            )
+            state.record_request(op, (response.get("error") or {}).get("code"), started)
     return response
 
 
@@ -593,10 +514,9 @@ def _dispatch(session: Session, request: Any) -> Tuple[Any, Any]:
     faults.fire("serve.request", op=request.op)
     # The engine lock is held across the whole dispatch so the
     # snapshot/since delta is exactly this request's work even when other
-    # connections run concurrently (the fast path never comes here — it
-    # builds its own one-counter delta under a brief lock acquisition).
-    # It is taken inside the possibly deadline-supervised call, so an
-    # abandoned request releases it when it finishes.
+    # connections run concurrently.  It is taken inside the possibly
+    # deadline-supervised call, so an abandoned request releases it when
+    # it finishes.
     engine = session.engine
     with engine.lock:
         before = engine.stats.snapshot()
@@ -660,16 +580,17 @@ def serve_stream(
     counts requests, honours the drain flag (stop after
     the current response once draining), and enforces the configured
     line-length limit.
+
+    The conversation's response memo maps a request line to its rendered
+    response, for every ``check`` answered wholly from the verdict cache.
+    Verdicts are deterministic and no request can rebind a registry name,
+    so a repeat of that line is answered with the same bytes, booked by
+    :func:`_count_memo_hit`.  The memo is bypassed while faults are armed.
     """
     if config is None:
         config = state.config if state is not None else ServeConfig()
     answered = 0
-    #: connection-private response memo (line -> response dict) plus the
-    #: rendered text of each memoised response, so a repeated line costs
-    #: neither a JSON parse nor a JSON dump.  ``rendered`` entries are
-    #: only trusted when the memo still returns the identical dict.
-    memo: Dict[str, Dict[str, Any]] = {}
-    rendered: Dict[str, Tuple[Dict[str, Any], str]] = {}
+    memo: Dict[str, str] = {}
     for line in _iter_limited_lines(input_stream, config.max_line_bytes):
         response: Optional[Dict[str, Any]] = None
         if line is OVERSIZED:
@@ -687,20 +608,23 @@ def serve_stream(
         if state is not None:
             state.begin_request()
         try:
-            if response is None:
-                response = handle_request_line(
-                    session, line, state=state, config=config,
-                    counted=state is not None, memo=memo,
-                )
-            cached = rendered.get(line)
-            if cached is not None and cached[0] is response:
-                text = cached[1]
+            text = memo.get(line) if response is None and not faults._FAULTS else None
+            if text is not None:
+                started = time.monotonic()
+                _count_memo_hit(session)
+                response = _MEMO_HIT
+                if state is not None:
+                    state.record_request("check", None, started)
             else:
+                if response is None:
+                    response = handle_request_line(
+                        session, line, state=state, config=config, counted=state is not None
+                    )
                 text = json.dumps(response) + "\n"
-                if memo.get(line) is response:
-                    rendered[line] = (response, text)
-                elif not memo and rendered:
-                    rendered.clear()  # the memo was invalidated wholesale
+                if not faults._FAULTS and _answered_from_cache(response):
+                    if len(memo) >= _MEMO_LIMIT:
+                        memo.clear()
+                    memo[line] = text
             output_stream.write(text)
             output_stream.flush()
             answered += 1
@@ -883,14 +807,14 @@ class _ConnectionHandler(socketserver.StreamRequestHandler):
             self._shed("overloaded", "admission queue is full", peer)
             return False
         try:
-            admitted = self.server.capacity.acquire(timeout=config.admission_timeout)
+            admitted = self.server.capacity.acquire(timeout=ADMISSION_TIMEOUT)
         finally:
             with state.lock:
                 state.waiting -= 1
         if not admitted:
             self._shed(
                 "overloaded",
-                f"no connection slot within {config.admission_timeout:g}s",
+                f"no connection slot within {ADMISSION_TIMEOUT:g}s",
                 peer,
             )
             return False
@@ -952,7 +876,7 @@ class _InterruptibleReader:
 
 
 def _install_drain_handlers(
-    begin_drain: Callable[[str], None], raise_when_reading: Optional[ServerState] = None
+    begin_drain: Callable[[str], object], raise_when_reading: Optional[ServerState] = None
 ) -> Optional[Dict[int, object]]:
     """Route SIGTERM/SIGINT into the drain path; return the old handlers.
 
@@ -1008,7 +932,7 @@ def serve(
     (including the persistent verdict-cache tier), and return 0.
     """
     session = session if session is not None else Session()
-    config = config if config is not None else ServeConfig.from_env()
+    config = config if config is not None else ServeConfig()
     state = ServerState(config)
     if session.engine.verdict_cache is None and config.cache_capacity > 0:
         from repro.cache import VerdictCache
@@ -1033,13 +957,11 @@ def serve(
         state.log("metrics_start", port=metrics_server.server_address[1])
     try:
         if port is not None:
-            return _serve_socket_until_drained(session, host, port, config, state,
-                                               install_signal_handlers)
-        return _serve_stdio_until_drained(
+            return _serve_socket(session, host, port, state, install_signal_handlers)
+        return _serve_stdio(
             session,
             input_stream if input_stream is not None else sys.stdin,
             output_stream if output_stream is not None else sys.stdout,
-            config,
             state,
             install_signal_handlers,
         )
@@ -1052,54 +974,43 @@ def serve(
             cache.close()
 
 
-def _serve_socket_until_drained(
+def _serve_until_drained(
     session: Session,
-    host: str,
-    port: int,
-    config: ServeConfig,
     state: ServerState,
+    run: Callable[[], Dict[str, object]],
+    begin_drain: Callable[[str], object],
     install_signal_handlers: bool,
+    interrupt_reads: bool = False,
+    **transport: object,
 ) -> int:
-    # Remote clients must not be able to read server-side files by
-    # sending path-shaped test or model specs; registered names, inline
-    # litmus text and embedded documents remain available.
-    session.tests.allow_paths = False
-    session.models.allow_paths = False
-    server = serve_socket(session, host, port, config=config, state=state)
-    bound = server.server_address[1]
+    """The drain lifecycle both transports share.
 
-    def begin_drain(cause: str) -> None:
-        with state.lock:
-            if state.draining:
-                return
-            state.draining = True
-        state.log("drain_begin", cause=cause, in_flight=state.in_flight)
-        # shutdown() blocks until the accept loop exits, so it must not run
-        # on the thread executing serve_forever (or in its signal handler).
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = _install_drain_handlers(begin_drain) if install_signal_handlers else None
+    Routes SIGTERM/SIGINT to ``begin_drain`` (and, with
+    ``interrupt_reads``, interrupts an idle read), logs ``serve_start``,
+    runs the transport, waits for in-flight requests and logs
+    ``serve_stop`` with the extra fields ``run`` returns.
+    """
+    previous = None
+    if install_signal_handlers:
+        previous = _install_drain_handlers(
+            begin_drain, raise_when_reading=state if interrupt_reads else None
+        )
     state.log(
         "serve_start",
-        transport="socket",
-        host=host,
-        port=bound,
+        **transport,
         pid=os.getpid(),
         backend=session.backend_name,
         kernel=session.kernel_name,
-        limits=_limits_fields(config),
+        limits=_limits_fields(state.config),
     )
     try:
-        try:
-            server.serve_forever(poll_interval=0.1)
-        except KeyboardInterrupt:  # handlers not installed (e.g. nested use)
-            begin_drain("KeyboardInterrupt")
-        drained = state.wait_idle(config.drain_grace)
-        server.server_close()
+        stop_fields = run()
+        drained = state.wait_idle(state.config.drain_grace)
         state.log(
             "serve_stop",
             drained=drained,
             requests_total=state.requests_total,
+            **stop_fields,
             uptime_seconds=round(state.uptime(), 3),
         )
     finally:
@@ -1107,57 +1018,60 @@ def _serve_socket_until_drained(
     return 0
 
 
-def _serve_stdio_until_drained(
+def _serve_socket(
+    session: Session, host: str, port: int, state: ServerState, install_signal_handlers: bool
+) -> int:
+    # Remote clients must not be able to read server-side files by
+    # sending path-shaped test or model specs; registered names, inline
+    # litmus text and embedded documents remain available.
+    session.tests.allow_paths = False
+    session.models.allow_paths = False
+    server = serve_socket(session, host, port, config=state.config, state=state)
+
+    def begin_drain(cause: str) -> None:
+        if state.begin_drain(cause):
+            # shutdown() blocks until the accept loop exits, so it must not
+            # run on the thread executing serve_forever (or in its signal
+            # handler).
+            threading.Thread(target=server.shutdown, daemon=True).start()
+
+    def run() -> Dict[str, object]:
+        try:
+            server.serve_forever(poll_interval=0.1)
+        except KeyboardInterrupt:  # handlers not installed (e.g. nested use)
+            begin_drain("KeyboardInterrupt")
+        server.server_close()
+        return {}
+
+    return _serve_until_drained(
+        session, state, run, begin_drain, install_signal_handlers,
+        transport="socket", host=host, port=server.server_address[1],
+    )
+
+
+def _serve_stdio(
     session: Session,
     input_stream: IO[str],
     output_stream: IO[str],
-    config: ServeConfig,
     state: ServerState,
     install_signal_handlers: bool,
 ) -> int:
-    def begin_drain(cause: str) -> None:
-        with state.lock:
-            if state.draining:
-                return
-            state.draining = True
-        state.log("drain_begin", cause=cause, in_flight=state.in_flight)
-
-    previous = (
-        _install_drain_handlers(begin_drain, raise_when_reading=state)
-        if install_signal_handlers
-        else None
-    )
-    state.log(
-        "serve_start",
-        transport="stdio",
-        pid=os.getpid(),
-        backend=session.backend_name,
-        kernel=session.kernel_name,
-        limits=_limits_fields(config),
-    )
     reader = (
         _InterruptibleReader(input_stream, state)
         if hasattr(input_stream, "readline")
         else input_stream
     )
-    answered = 0
-    try:
-        answered = serve_stream(
-            session, reader, output_stream, state=state, config=config
-        )
-    except _DrainInterrupt:
-        pass  # the drain signal interrupted an idle read: clean exit
-    finally:
-        _restore_handlers(previous)
-    drained = state.wait_idle(config.drain_grace) if state.in_flight else True
-    state.log(
-        "serve_stop",
-        drained=drained,
-        requests_total=state.requests_total,
-        answered=answered,
-        uptime_seconds=round(state.uptime(), 3),
+
+    def run() -> Dict[str, object]:
+        try:
+            return {"answered": serve_stream(session, reader, output_stream, state=state)}
+        except _DrainInterrupt:  # the drain signal interrupted an idle read
+            return {"answered": 0}
+
+    return _serve_until_drained(
+        session, state, run, state.begin_drain, install_signal_handlers,
+        interrupt_reads=True, transport="stdio",
     )
-    return 0
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1171,54 +1085,52 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline; past it the client gets a structured "
-        "deadline_exceeded error (default: unbounded; env REPRO_SERVE_TIMEOUT)")
+        help="per-request deadline, > 0; past it the client gets a structured "
+        "deadline_exceeded error (default: unbounded)")
     parser.add_argument(
         "--max-line-bytes", type=int, default=None, metavar="N",
-        help="maximum request line length; longer lines answer "
-        "request_too_large (default: 10MiB; env REPRO_SERVE_MAX_LINE_BYTES)")
+        help="maximum request line length, >= 1; longer lines answer "
+        "request_too_large (default: 10MiB)")
     parser.add_argument(
         "--max-connections", type=int, default=None, metavar="N",
-        help="maximum concurrently-served connections; with --timeout, also "
-        "the most requests that may still be running past their deadline "
-        "(default: 64; env REPRO_SERVE_MAX_CONNECTIONS)")
+        help="maximum concurrently-served connections, >= 1; with --timeout, "
+        "also the most requests that may still be running past their deadline "
+        "(default: 64)")
     parser.add_argument(
         "--admission-queue", type=int, default=None, metavar="N",
         help="connections allowed to wait for a slot before being shed with "
-        "an overloaded error (default: 128; env REPRO_SERVE_ADMISSION_QUEUE)")
+        "an overloaded error, >= 0 (default: 128)")
     parser.add_argument(
         "--idle-timeout", type=float, default=None, metavar="SECONDS",
-        help="close connections idle this long "
-        "(default: 300; env REPRO_SERVE_IDLE_TIMEOUT)")
+        help="close connections idle this long, > 0 (default: 300)")
     parser.add_argument(
         "--drain-grace", type=float, default=None, metavar="SECONDS",
-        help="how long a SIGTERM/SIGINT drain waits for in-flight requests "
-        "(default: 30; env REPRO_SERVE_DRAIN_GRACE)")
+        help="how long a SIGTERM/SIGINT drain waits for in-flight requests, "
+        ">= 0 (default: 30)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persist verdict-cache entries to DIR/verdicts.jsonl so warm "
         "verdicts survive restarts and can be shared between replicas "
-        "(default: memory-only cache off; env REPRO_SERVE_CACHE_DIR)")
+        "(default: memory-only)")
     parser.add_argument(
         "--cache-capacity", type=int, default=None, metavar="N",
-        help="verdict-cache memory-tier entry cap "
-        "(default: 1048576; env REPRO_SERVE_CACHE_CAPACITY)")
+        help="verdict-cache memory-tier entry cap, >= 0; 0 turns the cache "
+        "off (default: 1048576)")
     parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve Prometheus metrics over HTTP on this port "
-        "(GET /metrics; default: off; env REPRO_SERVE_METRICS_PORT)")
+        "(GET /metrics; default: off)")
 
 
 def config_from_args(args: argparse.Namespace) -> ServeConfig:
-    """Resolve a :class:`ServeConfig` from parsed flags over the environment."""
-    return ServeConfig.from_env(
-        timeout=args.timeout,
-        max_line_bytes=args.max_line_bytes,
-        max_connections=args.max_connections,
-        admission_queue=args.admission_queue,
-        idle_timeout=args.idle_timeout,
-        drain_grace=args.drain_grace,
-        cache_dir=args.cache_dir,
-        cache_capacity=args.cache_capacity,
-        metrics_port=args.metrics_port,
+    """Build a :class:`ServeConfig` from the flags that were passed.
+
+    Raises :class:`ValueError` for an out-of-range limit.
+    """
+    names = (
+        "timeout", "max_line_bytes", "max_connections", "admission_queue",
+        "idle_timeout", "drain_grace", "cache_dir", "cache_capacity", "metrics_port",
+    )
+    return ServeConfig(
+        **{name: getattr(args, name) for name in names if getattr(args, name) is not None}
     )

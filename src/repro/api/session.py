@@ -112,10 +112,10 @@ class Session:
         # check engine so repeated synthesize requests stay cache-warm.
         self._synth_engines: Dict[Tuple[str, str], SynthesisEngine] = {}
         # Digest-keyed memo of whole exploration results, the explore
-        # analogue of serve's verdict-cache fast path: a repeat explore
-        # over the same model set (by semantic digest) and suite returns
-        # the memoized result without touching the engine.  Only active
-        # when the engine has a verdict cache (the digests come from it).
+        # analogue of the verdict cache: a repeat explore over the same
+        # model set (by semantic digest) and suite returns the memoized
+        # result without touching the engine.  Only active when the
+        # engine has a verdict cache (the digests come from it).
         self._explore_memo: "OrderedDict[tuple, ExplorationResult]" = OrderedDict()
         # id(suite) -> (suite ref, digest): suites are memoized objects, so
         # identity is stable; the ref pins them against id reuse.
@@ -282,7 +282,7 @@ class Session:
             models = self.models.space(request.space)
         suite = self.tests.suite(request.suite_key())
         preferred = self.tests.preferred_tests() if request.preferred else []
-        # The serve fast path for explore: key the whole result by the
+        # The explore memo: key the whole result by the
         # resolved models' semantic digests plus the suite's content
         # digest.  Any non-digestable model (opaque callables) disables
         # the memo for that request; verdicts never go stale because the

@@ -346,10 +346,12 @@ def _cmd_enumerate_verify(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api.serve import config_from_args, serve
 
-    session = _make_session(args)
-    return serve(
-        session, host=args.host, port=args.port, config=config_from_args(args)
-    )
+    try:
+        config = config_from_args(args)
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
+    return serve(_make_session(args), host=args.host, port=args.port, config=config)
 
 
 def build_parser() -> argparse.ArgumentParser:

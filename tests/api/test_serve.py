@@ -1,9 +1,12 @@
 """Tests for the JSON-lines serve loop (stream and socket transports)."""
 
+import importlib
 import io
 import json
 import socket
 import threading
+
+import pytest
 
 from repro.api.requests import (
     CheckRequest,
@@ -16,7 +19,11 @@ from repro.api.requests import (
 from repro.api.serialize import SCHEMA_VERSION, from_json
 from repro.api.serve import handle_request_line, serve_socket, serve_stream
 from repro.api.session import Session
+from repro.cache import VerdictCache
 from repro.native.backend import native_available
+
+#: The module itself: ``repro.api.serve`` as an attribute is the function.
+serve_module = importlib.import_module("repro.api.serve")
 
 
 def _serve_lines(lines, session=None):
@@ -295,3 +302,92 @@ def test_socket_serving_disables_model_paths(tmp_path):
     )
     assert count == 1 and not responses[0]["ok"]
     assert "unknown model" in responses[0]["error"]["message"]
+
+
+# ----------------------------------------------------------------------
+# the per-connection response memo
+# ----------------------------------------------------------------------
+def _check_line(test, model="TSO"):
+    return json.dumps({"op": "check", "test": test, "model": model})
+
+
+def _cached_session():
+    session = Session()
+    session.engine.verdict_cache = VerdictCache()
+    return session
+
+
+def _converse(session, lines):
+    """One stream conversation; returns the raw response lines."""
+    output = io.StringIO()
+    serve_stream(session, io.StringIO("\n".join(lines) + "\n"), output)
+    return output.getvalue().splitlines()
+
+
+@pytest.fixture
+def memo_hits(monkeypatch):
+    """The sessions of every memo hit served while the test runs."""
+    hits = []
+    count = serve_module._count_memo_hit
+
+    def counting(session):
+        hits.append(session)
+        count(session)
+
+    monkeypatch.setattr(serve_module, "_count_memo_hit", counting)
+    return hits
+
+
+def test_memo_survives_a_miss_in_between(memo_hits):
+    session = _cached_session()
+    _converse(session, [_check_line("A")])  # warm the verdict cache
+    warm, miss, again = _converse(
+        session, [_check_line("A"), _check_line("L2", "PSO"), _check_line("A")]
+    )
+    assert json.loads(miss)["stats"]["verdict_cache_misses"] == 1
+    assert len(memo_hits) == 1
+    assert again == warm
+
+
+def test_first_seen_warm_check_is_memoized(memo_hits):
+    session = _cached_session()
+    _converse(session, [_check_line("A")])
+    assert memo_hits == []
+    first, second = _converse(session, [_check_line("A"), _check_line("A")])
+    assert json.loads(first)["stats"]["verdict_cache_hits"] == 1
+    assert len(memo_hits) == 1
+    assert second == first
+
+
+def test_repeated_miss_is_memoized_from_its_all_hit_answer(memo_hits):
+    session = _cached_session()
+    line = _check_line("L3", "RMO")
+    miss, hit, memo = _converse(session, [line, line, line])
+    assert json.loads(miss)["stats"]["verdict_cache_misses"] == 1
+    assert json.loads(hit)["stats"]["verdict_cache_hits"] == 1
+    assert len(memo_hits) == 1  # only the third line
+    assert memo == hit
+    # Without a verdict cache no answer is all-hit, so nothing is memoized.
+    _converse(Session(), [line, line, line])
+    assert len(memo_hits) == 1
+
+
+def test_memo_response_is_byte_identical_to_a_fresh_rendering(memo_hits):
+    session = _cached_session()
+    line = _check_line("L5", "PSO")
+    _converse(session, [line])
+    _, memoized = _converse(session, [line, line])
+    assert len(memo_hits) == 1
+    (fresh,) = _converse(session, [line])
+    assert memoized == fresh
+
+
+def test_full_memo_is_cleared_and_keeps_memoizing(memo_hits, monkeypatch):
+    monkeypatch.setattr(serve_module, "_MEMO_LIMIT", 2)
+    session = _cached_session()
+    lines = [_check_line(test) for test in ("A", "L1", "L2")]
+    _converse(session, lines)
+    responses = _converse(session, lines + [lines[2]])
+    # A and L1 fill the memo; L2 clears it and is memoized on its own.
+    assert len(memo_hits) == 1
+    assert responses[3] == responses[2]

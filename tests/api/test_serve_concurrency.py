@@ -172,25 +172,28 @@ def test_verdicts_bit_identical_cache_on_vs_off(kernel):
         assert result["allowed"] == expected[(test, model)]
 
 
-def test_fast_path_hits_register_in_metrics_and_engine_stats():
+def test_cache_hits_register_in_metrics_and_engine_stats():
+    """A miss, a verdict-cache hit, then a memo hit of the same line: all
+    three count as checks in the metrics, both hits in the engine stats."""
     session = Session()
     session.engine.verdict_cache = VerdictCache()
     running = _RunningServer(session, _quiet_config())
     line = _check_line("L1", "TSO")
     try:
-        first, second, metrics = _converse(
-            running.port, [line, line, json.dumps({"op": "metrics"})]
+        first, second, third, metrics = _converse(
+            running.port, [line, line, line, json.dumps({"op": "metrics"})]
         )
     finally:
         running.stop()
-    assert first["result"] == second["result"]
+    assert first["result"] == second["result"] == third["result"]
     assert second["stats"]["verdict_cache_hits"] == 1
+    assert third == second
     document = metrics["result"]
     assert document["cache"]["enabled"] is True
-    assert document["cache"]["hits"] >= 1
-    assert document["engine"]["verdict_cache_hits"] >= 1
+    assert document["cache"]["hits"] >= 2
+    assert document["engine"]["verdict_cache_hits"] >= 2
     assert any(
-        entry["op"] == "check" and entry["code"] == "ok" and entry["count"] == 2
+        entry["op"] == "check" and entry["code"] == "ok" and entry["count"] == 3
         for entry in document["requests"]
     )
 

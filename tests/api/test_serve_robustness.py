@@ -395,9 +395,7 @@ def test_builtin_results_report_only_live_gauges(session):
 
 
 def test_connections_beyond_queue_are_shed_with_overloaded(session):
-    config = _quiet_config(
-        max_connections=1, admission_queue=0, admission_timeout=0.2
-    )
+    config = _quiet_config(max_connections=1, admission_queue=0)
     server, thread, port = _start_server(session, config)
     try:
         # Occupy the single slot with an open conversation.
@@ -448,14 +446,47 @@ def test_draining_server_answers_unavailable(session):
 # ----------------------------------------------------------------------
 # configuration
 # ----------------------------------------------------------------------
-def test_serve_config_from_env_and_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "12.5")
-    monkeypatch.setenv("REPRO_SERVE_MAX_LINE_BYTES", "4096")
-    monkeypatch.setenv("REPRO_SERVE_MAX_CONNECTIONS", "not-a-number")
-    config = ServeConfig.from_env(max_line_bytes=8192)
-    assert config.timeout == 12.5
-    assert config.max_line_bytes == 8192  # explicit override beats env
-    assert config.max_connections == ServeConfig.max_connections  # bad env ignored
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("max_line_bytes", 0),
+        ("max_line_bytes", -1),
+        ("max_connections", 0),
+        ("admission_queue", -1),
+        ("drain_grace", -0.5),
+        ("cache_capacity", -1),
+        ("timeout", 0),
+        ("timeout", -1.0),
+        ("idle_timeout", 0),
+    ],
+)
+def test_serve_config_rejects_out_of_range_limits(name, value):
+    with pytest.raises(ValueError, match=name):
+        ServeConfig(**{name: value})
+
+
+def test_serve_config_accepts_boundary_limits():
+    config = ServeConfig(
+        max_line_bytes=1, max_connections=1, admission_queue=0, drain_grace=0,
+        cache_capacity=0, timeout=None, idle_timeout=None,
+    )
+    assert config.max_line_bytes == 1 and config.idle_timeout is None
+
+
+def test_cli_serve_rejects_out_of_range_limits():
+    """A negative line limit used to make every read empty: the server
+    logged serve_start, answered nothing and exited 0."""
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "serve", "--max-line-bytes", "-1"],
+        input='{"op": "health"}\n',
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    assert completed.returncode == 2
+    assert completed.stdout == ""
+    assert "max_line_bytes must be at least 1" in completed.stderr
 
 
 def test_cli_serve_exposes_limit_flags():
