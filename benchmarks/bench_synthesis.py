@@ -90,10 +90,9 @@ def test_strategies_agree_at_every_size(synthesis):
 def test_sat_strategy_groups_models_by_mask(models_90, synthesis):
     _, row = synthesis
     cold = _synth(models_90, "sat")
-    before = cold.engine.stats.snapshot()
-    for test, _ in row[:16]:
-        cold._column(test)
-    stats = cold.engine.stats.since(before)
+    with cold.engine.recording() as stats:
+        for test, _ in row[:16]:
+            cold._column(test)
     assert stats.checks_performed == 16 * 90
     # Mask grouping must be doing real work on this space.
     assert 0 < stats.solver_calls < stats.checks_performed // 2

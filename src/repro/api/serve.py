@@ -5,7 +5,7 @@ documents, one JSON object per line, writing one JSON response object per
 line.  Because the session (and therefore the engine and its caches)
 persists across requests, a ``compare`` following an ``explore`` over the
 same suite is answered almost entirely from cache — each response carries
-the per-request :class:`~repro.engine.engine.EngineStats` delta so the
+the request's own :class:`~repro.engine.engine.EngineStats` so the
 reuse is observable.
 
 Transports:
@@ -22,7 +22,8 @@ is already in the shared digest-keyed verdict cache (see
 :mod:`repro.cache`) takes that same path and is answered from the cache
 inside the engine.  In front of it, each conversation keeps a response
 memo: a request line whose answer came wholly from the verdict cache is
-answered again, on a repeat, with its rendered response line.
+answered again, on a repeat, with its rendered response line, without
+taking the engine lock.
 
 Protocol::
 
@@ -410,9 +411,7 @@ def _answered_from_cache(response: Dict[str, Any]) -> bool:
 def _count_memo_hit(session: Session) -> None:
     """Book a memoised check with the stats delta it was memoised for."""
     engine = session.engine
-    with engine.lock:
-        engine.stats.checks_performed += 1
-        engine.stats.verdict_cache_hits += 1
+    engine.count(_CACHE_HIT_DELTA)
     vcache = engine.verdict_cache
     if vcache is not None:
         vcache.note_hit()
@@ -512,16 +511,14 @@ def handle_request_line(
 
 def _dispatch(session: Session, request: Any) -> Tuple[Any, Any]:
     faults.fire("serve.request", op=request.op)
-    # The engine lock is held across the whole dispatch so the
-    # snapshot/since delta is exactly this request's work even when other
-    # connections run concurrently.  It is taken inside the possibly
-    # deadline-supervised call, so an abandoned request releases it when
-    # it finishes.
+    # The recording keeps this request's stats exact without the engine
+    # lock, which guards the session-shared explore memo and the IR intern
+    # table.  It is taken inside the possibly deadline-supervised call, so
+    # an abandoned request releases it when it finishes.
     engine = session.engine
-    with engine.lock:
-        before = engine.stats.snapshot()
+    with engine.recording() as spent, engine.lock:
         result = session.run(request)
-        return result, engine.stats.since(before)
+    return result, spent
 
 
 # ----------------------------------------------------------------------

@@ -200,9 +200,9 @@ class Session:
         returned :class:`BatchResult` carries the aggregate engine-stats
         delta for the whole batch.
         """
-        before = self.engine.stats.snapshot()
-        results = [self.run(request) for request in requests]
-        return BatchResult(results=results, stats=self.engine.stats.since(before))
+        with self.engine.recording() as spent:
+            results = [self.run(request) for request in requests]
+        return BatchResult(results=results, stats=spent)
 
     # ------------------------------------------------------------------
     # operations

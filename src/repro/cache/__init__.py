@@ -16,8 +16,9 @@ append-only persistent tier (:class:`~repro.cache.persist.VerdictStore`),
 so a restarted — or freshly booted replica — server answers repeat catalog
 queries without evaluating a single execution.  The
 :class:`~repro.engine.engine.CheckEngine` interposes the cache in
-``check``/``check_column``; the serve layer answers cache-hit ``check``
-requests without even taking the engine lock.
+``check_column``; in front of it, the serve layer's per-connection
+response memo answers repeated cache-hit ``check`` lines without taking
+the engine lock.
 """
 
 from repro.cache.persist import VerdictStore, STORE_FORMAT, STORE_VERSION

@@ -2,9 +2,9 @@
 
 See :mod:`repro.cache` for the key design.  This module keeps the hot
 path minimal: a :meth:`VerdictCache.get` on a warm key is one lock
-acquisition, one ``OrderedDict`` move-to-end and two counter increments —
-cheap enough that the serve layer answers cache-hit requests without
-touching the engine at all.
+acquisition, one ``OrderedDict`` move-to-end and two counter increments,
+so an all-hit column in :meth:`~repro.engine.engine.CheckEngine.check_column`
+takes no engine lock and runs no search.
 """
 
 from __future__ import annotations

@@ -180,9 +180,8 @@ def explore_models(
     preferred_names = [test.name for test in preferred_tests]
 
     engine = CheckEngine.ensure(checker)
-    before = engine.stats.snapshot()
-    vectors: Dict[str, VerdictVector] = engine.verdict_matrix(models, suite)
-    stats = engine.stats.since(before)
+    with engine.recording() as stats:
+        vectors: Dict[str, VerdictVector] = engine.verdict_matrix(models, suite)
 
     # Equivalence classes: group models by verdict vector.
     by_vector: Dict[VerdictVector, List[str]] = {}

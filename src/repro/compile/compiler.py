@@ -110,10 +110,10 @@ _COMPILED_LIMIT = 4096
 def compile_model(model: MemoryModel) -> CompiledModel:
     """Compile ``model`` (memoized per model object).
 
-    Engine-level compile/CSE statistics are counted by
-    :meth:`repro.engine.engine.CheckEngine.compiled`, which wraps this —
-    the engine's counters stay deterministic per engine while this cache
-    stays process-global.
+    Engine-level compile/CSE statistics are counted by the
+    :class:`~repro.engine.engine.CheckEngine` that resolves the model
+    through this, so its counters stay deterministic per engine while
+    this cache stays process-global.
     """
     key = id(model)
     entry = _COMPILED.get(key)

@@ -163,9 +163,6 @@ class CompileStats:
     nodes_created: int = 0
     intern_hits: int = 0
 
-    def snapshot(self) -> "CompileStats":
-        return CompileStats(self.nodes_created, self.intern_hits)
-
 
 #: The process-wide intern table: structural key -> node.
 _INTERN: Dict[object, IRNode] = {}

@@ -16,14 +16,16 @@ vector is a sequence of columns.  Within a column the engine:
   share one kernel search or one incremental ``solve(assumptions=...)``;
 * optionally derives verdicts by mask monotonicity instead of deciding
   them (``derive=True``);
-* reports what it did through :class:`EngineStats`.
+* reports what it did through :class:`EngineStats`, counted into the
+  calling thread's innermost :meth:`CheckEngine.recording`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.compile import CompiledModel, compile_model
 from repro.core.litmus import LitmusTest
@@ -83,7 +85,7 @@ class EngineStats:
     #: synthesis queries answered (one per SynthesisEngine.synthesize call)
     synth_runs: int = 0
     #: checks answered from the digest-keyed verdict cache without touching
-    #: the strategy (or, for serve's fast path, the engine lock)
+    #: the strategy (serve's response-memo hits count here too)
     verdict_cache_hits: int = 0
     #: cacheable checks the verdict cache could not answer
     verdict_cache_misses: int = 0
@@ -100,31 +102,20 @@ class EngineStats:
         return {name: getattr(self, name) for name in _STAT_FIELDS}
 
     def merge(self, other: Dict[str, int]) -> None:
-        """Fold a worker's counters into this one.
+        """Fold a worker's or a closed recording's counters into this one.
 
         ``kernel_backend`` is a label, not a counter: the worker's value is
         adopted when this side has none (workers inherit the parent engine's
         resolved kernel, so the labels agree whenever both are set).
         """
         for key, value in other.items():
+            if not value:
+                continue
             if key == "kernel_backend":
-                if value and not self.kernel_backend:
+                if not self.kernel_backend:
                     self.kernel_backend = value
                 continue
             setattr(self, key, getattr(self, key) + value)
-
-    def snapshot(self) -> "EngineStats":
-        return replace(self)
-
-    def since(self, before: "EngineStats") -> "EngineStats":
-        """Return the counter deltas relative to an earlier snapshot (the
-        ``kernel_backend`` label carries over unchanged)."""
-        deltas = {
-            key: value - getattr(before, key)
-            for key, value in self.as_dict().items()
-            if key != "kernel_backend"
-        }
-        return EngineStats(kernel_backend=self.kernel_backend, **deltas)
 
     def describe(self) -> str:
         parts = [
@@ -184,10 +175,11 @@ class CheckEngine:
             Every strategy is a pure function of (model IR, canonical
             test), so verdicts are bit-identical with or without the cache.
 
-    Thread safety: every stats/cache mutation happens under :attr:`lock`
-    (an ``RLock``), so concurrent callers — serve's connections — observe
-    exact counters; an all-hit column takes only the cache's own lock plus
-    one brief :attr:`lock` acquisition for the counters.
+    Thread safety: counters go into the calling thread's innermost
+    :meth:`recording`, so threads sharing one engine each see exactly their
+    own work.  :attr:`lock` (an ``RLock``) guards the contexts, the compile
+    bookkeeping and the strategies' per-test state; an all-hit column takes
+    only the cache's own lock.
     """
 
     def __init__(
@@ -199,21 +191,24 @@ class CheckEngine:
         self.strategy: CheckStrategy = make_strategy(backend, kernel=kernel)
         #: the resolved kernel backend, when the strategy has one
         self.kernel = self.strategy.kernel
-        #: serialises stats/cache mutation; public so serve can hold it
-        #: across a whole request for exact stats attribution
+        #: serialises the engine's shared caches; public so serve can hold
+        #: it across a request for the state it guards beyond the engine
         self.lock = threading.RLock()
         self.verdict_cache = verdict_cache
+        #: cumulative counters, added to under :attr:`_stats_lock`
         self.stats = EngineStats()
         if self.kernel is not None:
             self.stats.kernel_backend = self.kernel.name
+        self._stats_lock = threading.Lock()
+        #: ``.sink``: the calling thread's innermost open recording
+        self._local = threading.local()
         # id(test) -> (test, context); the test reference keeps the id stable.
         self._contexts: Dict[int, Tuple[LitmusTest, TestContext]] = {}
-        # id(model) -> (model, compiled); resolution goes through the
-        # process-global compile cache, but hit/miss accounting is kept
-        # engine-local (via the digest and node-id sets below) so the
-        # compile/CSE counters are deterministic per engine regardless of
-        # what other engines in the process compiled first.
-        self._compiled: Dict[int, Tuple[MemoryModel, CompiledModel]] = {}
+        # Model resolution goes through the process-global compile cache,
+        # but hit/miss accounting is kept engine-local (via the digest and
+        # node-id sets below) so the compile/CSE counters are deterministic
+        # per engine regardless of what other engines in the process
+        # compiled first.
         self._seen_digests: set = set()
         self._seen_node_ids: set = set()
         # id(model sequence) -> (sequence, compiled list): one lookup per
@@ -242,35 +237,61 @@ class CheckEngine:
         )
 
     # ------------------------------------------------------------------
-    # contexts
+    # stats
     # ------------------------------------------------------------------
-    def context(self, test: LitmusTest, cache: bool = True) -> TestContext:
-        """Return (building and, by default, caching) the test's context.
+    @contextmanager
+    def recording(self) -> Iterator[EngineStats]:
+        """Count this thread's engine work in a fresh, kernel-labelled sink.
 
-        ``cache=False`` builds a throwaway context: callers checking a
-        one-shot test (e.g. outcome enumeration, where every candidate
-        outcome is a fresh ``LitmusTest``) would otherwise grow the
-        identity-keyed cache without any chance of a later hit.
+        Until the block ends, by an exception too, the sink is the thread's
+        innermost and gets every counter the engine books on this thread;
+        then its counts go to the enclosing recording, or to :attr:`stats`
+        at the outermost level.  Entry points called outside any recording
+        open their own.
         """
-        key = id(test)
-        with self.lock:
-            entry = self._contexts.get(key)
-            if entry is not None and entry[0] is test:
-                self.stats.context_cache_hits += 1
-                return entry[1]
-            context = TestContext(test)
-            self.stats.executions_evaluated += 1
-            if context.execution is None:
-                self.stats.execution_failures += 1
-            if cache:
-                self._contexts[key] = (test, context)
-            return context
+        sink = EngineStats(kernel_backend=self.stats.kernel_backend)
+        local = self._local
+        outer = getattr(local, "sink", None)
+        local.sink = sink
+        try:
+            yield sink
+        finally:
+            local.sink = outer
+            self.count(vars(sink))
+
+    def count(self, counts: Dict[str, int]) -> None:
+        """Add counters (as :meth:`EngineStats.merge` takes them) to this
+        thread's innermost recording, or to :attr:`stats` when none is open."""
+        sink = getattr(self._local, "sink", None)
+        if sink is not None:
+            sink.merge(counts)
+        else:
+            with self._stats_lock:
+                self.stats.merge(counts)
 
     # ------------------------------------------------------------------
-    # model compilation
+    # contexts and model compilation (callers hold :attr:`lock`)
     # ------------------------------------------------------------------
-    def compiled(self, model: MemoryModel) -> CompiledModel:
-        """Return the model's :class:`~repro.compile.CompiledModel`.
+    def _context(self, test: LitmusTest, retain: bool, spent: EngineStats) -> TestContext:
+        """Return the test's context, building it (and retaining it, when
+        asked: a one-shot test would only grow the identity-keyed cache)."""
+        key = id(test)
+        entry = self._contexts.get(key)
+        if entry is not None and entry[0] is test:
+            spent.context_cache_hits += 1
+            return entry[1]
+        context = TestContext(test)
+        spent.executions_evaluated += 1
+        if context.execution is None:
+            spent.execution_failures += 1
+        if retain:
+            self._contexts[key] = (test, context)
+        return context
+
+    def _compile_all(
+        self, models: Sequence[MemoryModel], spent: EngineStats
+    ) -> List[CompiledModel]:
+        """Resolve a model sequence, memoized by sequence identity.
 
         A repeat resolution — the same object again, or a structurally
         equal model under any name — counts as a ``compile_cache_hits``;
@@ -279,64 +300,37 @@ class CheckEngine:
         ``ir_cse_hits`` depending on whether an earlier model of this
         engine already contained them (cross-model CSE).
         """
-        with self.lock:
-            return self._compiled_locked(model)
-
-    def _compiled_locked(self, model: MemoryModel) -> CompiledModel:
-        key = id(model)
-        entry = self._compiled.get(key)
-        if entry is not None and entry[0] is model:
-            self.stats.compile_cache_hits += 1
+        entry = self._compiled_spaces.get(id(models))
+        if entry is not None and entry[0] is models:
+            spent.compile_cache_hits += len(entry[1])
             return entry[1]
-        compiled = compile_model(model)
-        if len(self._compiled) >= 4096:
-            # A long-lived serve session fed ever-new inline model documents
-            # must not pin one model object per request forever; recompiling
-            # after a clear is an intern-table walk, and the digest/node-id
-            # sets below (tiny, and what the counters key on) are kept.
-            self._compiled.clear()
-            self._compiled_spaces.clear()
-        self._compiled[key] = (model, compiled)
-        if compiled.digest in self._seen_digests:
-            self.stats.compile_cache_hits += 1
-        else:
-            self._seen_digests.add(compiled.digest)
-            self.stats.models_compiled += 1
-            seen = self._seen_node_ids
-            for node_id in compiled.node_ids:
+        compiled = [compile_model(model) for model in models]
+        seen = self._seen_node_ids
+        for resolved in compiled:
+            if resolved.digest in self._seen_digests:
+                spent.compile_cache_hits += 1
+                continue
+            self._seen_digests.add(resolved.digest)
+            spent.models_compiled += 1
+            for node_id in resolved.node_ids:
                 if node_id in seen:
-                    self.stats.ir_cse_hits += 1
+                    spent.ir_cse_hits += 1
                 else:
                     seen.add(node_id)
-                    self.stats.ir_nodes_created += 1
-        return compiled
-
-    def compiled_all(self, models: Sequence[MemoryModel]) -> List[CompiledModel]:
-        """Resolve a whole model sequence, memoized by sequence identity.
-
-        Counts exactly what per-model :meth:`compiled` calls would count, so
-        the compile counters stay deterministic.
-        """
-        with self.lock:
-            if len(models) == 1:
-                # A one-model column (every check): memoizing the throwaway
-                # sequence would pin one entry per call.
-                return [self._compiled_locked(models[0])]
-            entry = self._compiled_spaces.get(id(models))
-            if entry is not None and entry[0] is models:
-                self.stats.compile_cache_hits += len(entry[1])
-                return entry[1]
-            compiled = [self._compiled_locked(model) for model in models]
+                    spent.ir_nodes_created += 1
+        # A one-model column (every check) is a throwaway sequence; past 64
+        # sequences, callers building a fresh list per call would otherwise
+        # pin every list forever.
+        if len(models) > 1:
             if len(self._compiled_spaces) >= 64:
-                # Callers building a fresh list per call would otherwise pin
-                # every list forever; the per-model cache stays warm regardless.
                 self._compiled_spaces.clear()
             self._compiled_spaces[id(models)] = (models, compiled)
-            return compiled
+        return compiled
 
     def precompile(self, models: Sequence[MemoryModel]) -> None:
         """Eagerly compile a model space (worker warm-up)."""
-        self.compiled_all(models)
+        with self.recording() as spent, self.lock:
+            self._compile_all(models, spent)
 
     # ------------------------------------------------------------------
     # checking
@@ -395,8 +389,19 @@ class CheckEngine:
         shortcuts count as ``derived_verdicts`` instead of searches, which
         is why the brute pipeline keeps the flag off.
         """
+        spent = getattr(self._local, "sink", None)
+        if spent is None:
+            with self.recording() as spent:
+                return self._check_column(test, models, retain, derive, spent)
+        return self._check_column(test, models, retain, derive, spent)
+
+    def _check_column(
+        self, test: LitmusTest, models: Sequence[MemoryModel], retain: bool, derive: bool,
+        spent: EngineStats,
+    ) -> List[bool]:
         if faults._FAULTS:
             faults.fire("engine.check_column", test=test.name)
+        spent.checks_performed += len(models)
         vcache = self.verdict_cache
         keys: Optional[List[Optional[Tuple[str, str]]]] = None
         if vcache is not None:
@@ -410,39 +415,34 @@ class CheckEngine:
                     keys.append(key)
                     cached.append(vcache.get(key) if key is not None else None)
                 if cached and all(verdict is not None for verdict in cached):
-                    with self.lock:
-                        self.stats.checks_performed += len(models)
-                        self.stats.verdict_cache_hits += len(models)
+                    spent.verdict_cache_hits += len(models)
                     return [bool(verdict) for verdict in cached]
-        with self.lock:
-            if keys is not None:
-                self.stats.verdict_cache_misses += sum(
+                spent.verdict_cache_misses += sum(
                     1
                     for key, verdict in zip(keys, cached)
                     if key is not None and verdict is None
                 )
-            compiled_models = self.compiled_all(models)
-            context = self.context(test, cache=retain)
-            self.stats.checks_performed += len(models)
-            column = self._decide(context, compiled_models, derive)
+        with self.lock:
+            compiled_models = self._compile_all(models, spent)
+            context = self._context(test, retain, spent)
+            column = self._decide(context, compiled_models, derive, spent)
         if keys is not None:
             persisted = 0
             for key, verdict in zip(keys, column):
                 if key is not None and vcache.put(key, verdict):
                     persisted += 1
-            if persisted and vcache.store is not None:
-                with self.lock:
-                    self.stats.verdict_cache_persisted += persisted
+            if vcache.store is not None:
+                spent.verdict_cache_persisted += persisted
         return column
 
     def _decide(
-        self, context: TestContext, compiled_models: Sequence[CompiledModel], derive: bool
+        self, context: TestContext, compiled_models: Sequence[CompiledModel], derive: bool,
+        stats: EngineStats,
     ) -> List[bool]:
         """The column's verdicts: one strategy decision per undecided mask."""
         if context.execution is None:
             return [False] * len(compiled_models)
         strategy = self.strategy
-        stats = self.stats
         first_visit = not context.candidate_space_built
         feasible = strategy.prepare(context)
         if first_visit:

@@ -450,12 +450,12 @@ def _check_items(
     here, by whoever checks them: the stream carries only the compact
     abstract item tuples.
     """
-    before = engine.stats.snapshot()
-    rows = [
-        _column_mask(engine, test_from_items(items, name), models, derive=derive)
-        for name, items in zip(names, items_list)
-    ]
-    return rows, engine.stats.since(before).as_dict()
+    with engine.recording() as spent:
+        rows = [
+            _column_mask(engine, test_from_items(items, name), models, derive=derive)
+            for name, items in zip(names, items_list)
+        ]
+    return rows, spent.as_dict()
 
 
 #: Raw tests per range job, in shard sizes: a range of the adaptive stream

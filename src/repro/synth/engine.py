@@ -209,10 +209,13 @@ class SynthesisEngine:
         suggest_tests: int = 3,
     ) -> SynthesisResult:
         """Run one synthesis query; see the module docstring for the parts."""
-        stats = self.engine.stats
-        before = stats.snapshot()
-        stats.synth_runs += 1
+        with self.engine.recording() as spent:
+            spent.synth_runs += 1
+            return self._synthesize(observations, suggest_tests, spent)
 
+    def _synthesize(
+        self, observations: Sequence[ResolvedObservation], suggest_tests: int, spent: EngineStats
+    ) -> SynthesisResult:
         columns = [self._column(test) for test, _ in observations]
         observed = [bool(verdict) for _, verdict in observations]
         labels = tuple((test.name, obs) for (test, _), obs in zip(observations, observed))
@@ -275,7 +278,7 @@ class SynthesisEngine:
             witnesses=tuple(witnesses),
             conflict_core=conflict_core,
             suggestions=suggestions,
-            stats=stats.since(before),
+            stats=spent,
         )
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib
 import io
 import json
+import queue
 import socket
 import threading
 
@@ -391,3 +392,57 @@ def test_full_memo_is_cleared_and_keeps_memoizing(memo_hits, monkeypatch):
     # A and L1 fill the memo; L2 clears it and is memoized on its own.
     assert len(memo_hits) == 1
     assert responses[3] == responses[2]
+
+
+def test_memo_hit_is_answered_while_another_thread_holds_the_engine_lock(memo_hits):
+    """A memo hit counts itself without the engine lock, so a long miss on
+    another connection cannot delay it."""
+    session = _cached_session()
+    line = _check_line("L3", "RMO")
+    _converse(session, [line])  # warm the verdict cache
+    requests: "queue.Queue" = queue.Queue()
+    answers: "queue.Queue" = queue.Queue()
+
+    class Answers:
+        def write(self, text):
+            answers.put(text)
+
+        def flush(self):
+            pass
+
+    def lines():
+        while True:
+            request = requests.get()
+            if request is None:
+                return
+            yield request
+
+    conversation = threading.Thread(
+        target=serve_stream, args=(session, lines(), Answers()), daemon=True
+    )
+    conversation.start()
+    requests.put(line)
+    warm = answers.get(timeout=10)  # answered from the cache: memoised
+    before = session.engine.stats.as_dict()
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_lock():
+        with session.engine.lock:
+            held.set()
+            release.wait(10)
+
+    holder = threading.Thread(target=hold_the_lock, daemon=True)
+    holder.start()
+    assert held.wait(10)
+    try:
+        requests.put(line)
+        assert answers.get(timeout=1) == warm
+    finally:
+        release.set()
+        holder.join(10)
+    requests.put(None)
+    conversation.join(10)
+    assert len(memo_hits) == 1
+    after = session.engine.stats
+    assert after.checks_performed == before["checks_performed"] + 1
+    assert after.verdict_cache_hits == before["verdict_cache_hits"] + 1

@@ -67,9 +67,8 @@ def test_reused_session_gets_engine_cache_hits_across_runs():
     session = Session()
     compare = session.run(CompareRequest(first="SC", second="TSO", suite="no_deps"))
 
-    before = session.stats.snapshot()
-    explore = session.run(ExploreRequest(space="no_deps"))
-    delta = session.stats.since(before)
+    with session.engine.recording() as delta:
+        explore = session.run(ExploreRequest(space="no_deps"))
 
     # The compare already evaluated every suite test's execution; the
     # exploration must answer all of them from the shared context cache.
@@ -89,9 +88,9 @@ def test_check_compare_explore_in_one_session_share_caches():
     session = Session()
     session.run(CheckRequest(test="L1", model="TSO"))
     session.run(CompareRequest(first="SC", second="TSO", suite="no_deps"))
-    before = session.stats.snapshot()
-    session.run(ExploreRequest(space="no_deps"))
-    assert session.stats.since(before).context_cache_hits > 0
+    with session.engine.recording() as delta:
+        session.run(ExploreRequest(space="no_deps"))
+    assert delta.context_cache_hits > 0
     # hit counters grow monotonically across the whole conversation
     assert session.stats.context_cache_hits > session.stats.executions_evaluated
 
@@ -99,10 +98,10 @@ def test_check_compare_explore_in_one_session_share_caches():
 def test_repeated_compare_requests_reuse_verdict_vectors():
     session = Session()
     first = session.run(CompareRequest(first="SC", second="TSO", suite="no_deps"))
-    before = session.stats.snapshot()
-    second = session.run(CompareRequest(first="SC", second="TSO", suite="no_deps"))
+    with session.engine.recording() as delta:
+        second = session.run(CompareRequest(first="SC", second="TSO", suite="no_deps"))
     # The comparator memoizes whole verdict vectors: no new checks at all.
-    assert session.stats.since(before).checks_performed == 0
+    assert delta.checks_performed == 0
     assert first == second
 
 

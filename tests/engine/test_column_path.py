@@ -65,15 +65,13 @@ def test_cold_and_warm_checks_book_one_miss_then_one_hit():
     engine = CheckEngine(verdict_cache=VerdictCache())
     test, model = L_TESTS[0], named_models()["TSO"]
 
-    before = engine.stats.snapshot()
-    engine.check(test, model)
-    cold = engine.stats.since(before)
+    with engine.recording() as cold:
+        engine.check(test, model)
     assert (cold.verdict_cache_hits, cold.verdict_cache_misses) == (0, 1)
     assert cold.executions_evaluated == 1
 
-    before = engine.stats.snapshot()
-    engine.check(test, model)
-    warm = engine.stats.since(before)
+    with engine.recording() as warm:
+        engine.check(test, model)
     assert (warm.verdict_cache_hits, warm.verdict_cache_misses) == (1, 0)
     assert warm.executions_evaluated == 0
     assert warm.checks_performed == 1

@@ -132,12 +132,11 @@ def test_sat_engine_counts_solver_calls():
     assert 0 < sat.stats.solver_calls < len(MODELS) * len(TESTS)
 
 
-def test_stats_snapshot_and_since():
+def test_recording_counts_only_its_block():
     engine = CheckEngine("explicit")
     engine.check(TEST_A, MODELS[0])
-    before = engine.stats.snapshot()
-    engine.check(TEST_A, MODELS[1])
-    delta = engine.stats.since(before)
+    with engine.recording() as delta:
+        engine.check(TEST_A, MODELS[1])
     assert delta.checks_performed == 1
     assert delta.executions_evaluated == 0
     assert delta.context_cache_hits == 1
