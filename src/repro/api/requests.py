@@ -108,6 +108,7 @@ class ExhaustiveRequest:
     template suite's — the paper's completeness claim.  With a ``run_dir``
     each completed shard is checkpointed as JSON lines; ``resume=True``
     answers completed shards from disk instead of re-checking them.
+    ``space="deps"`` is refused: the enumeration has no dependencies yet.
     """
 
     bound: str = "small"

@@ -351,8 +351,10 @@ class Session:
         return synth.synthesize(resolved, suggest_tests=request.suggest_tests)
 
     def _run_exhaustive(self, request: ExhaustiveRequest) -> EquivalenceReport:
-        from repro.pipeline.run import PipelineConfig, run_pipeline
+        from repro.pipeline.run import DEPS_REFUSAL, PipelineConfig, run_pipeline
 
+        if request.space == "deps":
+            raise ValueError(DEPS_REFUSAL)
         if request.run_dir is not None and not self.tests.allow_paths:
             # Mirrors the test-spec path restriction: network-facing serve
             # sessions must not let remote clients choose server-side paths.

@@ -306,11 +306,14 @@ def _cmd_outcomes(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate_verify(args: argparse.Namespace) -> int:
     from repro.api.requests import ExhaustiveRequest
+    from repro.pipeline.run import DEPS_REFUSAL
 
+    if args.deps:
+        print(f"enumerate-verify: {DEPS_REFUSAL}", file=sys.stderr)
+        return 2
     session = _make_session(args)
     request = ExhaustiveRequest(
         bound=args.bound,
-        space="deps" if args.deps else "no_deps",
         jobs=args.jobs,
         shard_size=args.shard_size,
         limit=args.limit,
@@ -475,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="naive-enumeration bound ('paper' is the full Theorem 1 bound)")
     enumerate_verify.add_argument(
         "--deps", action=argparse.BooleanOptionalAction, default=False,
-        help="partition the 90-model space with dependencies (default: 36-model space)")
+        help="the 90-model space with dependencies: refused (exit 2) until the "
+        "naive enumeration has dependency instructions (default: 36-model space)")
     enumerate_verify.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes checking shards (default: 1)")

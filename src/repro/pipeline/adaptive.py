@@ -44,8 +44,11 @@ its group decomposition as the certificate.  The matrix only grows, so a
 certificate checked against the matrix at skip time also holds against the
 final matrix.
 
-Every skip writes a machine-checkable certificate record into the shard
-checkpoint files, and :class:`PartitionCheckpoint` persists the folded
+Every frontier skip writes a machine-checkable certificate record into the
+shard checkpoint files.  A profile skip needs no record of its own: the
+row or frontier record of the first test with its profile digest is its
+certificate, and each shard's ``done`` marker counts the profile skips.
+:class:`PartitionCheckpoint` persists the folded
 partition itself — digest-validated, versioned, atomically written — so a
 resumed run restarts from the matrix instead of re-reading shard rows, and
 cooperating runs can :meth:`~PartitionCheckpoint.merge` their partitions
@@ -497,36 +500,16 @@ def audit_selected(digest: str, name: str, rate: float) -> bool:
     return draw / 0x100000000 < rate
 
 
-class ProfileIndex:
-    """The adaptive stream's dedup index: profile digest -> representative.
-
-    The representative is the *first* test of the stream with that profile
-    — whether its row was folded or it was frontier-skipped (the matrix
-    only grows, so a row that could not refine the partition at skip time
-    never can).
-    """
-
-    def __init__(self) -> None:
-        self._reps: Dict[str, str] = {}
-
-    def __len__(self) -> int:
-        return len(self._reps)
-
-    def representative(self, digest: str) -> Optional[str]:
-        return self._reps.get(digest)
-
-    def add(self, digest: str, name: str) -> None:
-        self._reps.setdefault(digest, name)
-
-
 # ----------------------------------------------------------------------
 # the partition checkpoint
 # ----------------------------------------------------------------------
-def _mask_bits(mask: int, width: int) -> str:
-    return "".join("1" if (mask >> i) & 1 else "0" for i in range(width))
+def mask_to_bits(mask: int, width: int) -> str:
+    """Bit ``i`` of ``mask`` at position ``i`` (lowest model first): the
+    encoding of verdict rows, frontier groups and the dominance matrix."""
+    return format(mask, f"0{width}b")[::-1]
 
 
-def _bits_mask(bits: str) -> int:
+def bits_to_mask(bits: str) -> int:
     mask = 0
     for i, bit in enumerate(bits):
         if bit == "1":
@@ -626,7 +609,7 @@ class PartitionCheckpoint:
             "raw_tests": self.raw_tests,
             "profile_skips": self.profile_skips,
             "frontier_skips": self.frontier_skips,
-            "distinguished": [_mask_bits(mask, width) for mask in self.distinguished],
+            "distinguished": [mask_to_bits(mask, width) for mask in self.distinguished],
         }
         body["digest"] = _payload_digest(body)
         return body
@@ -682,7 +665,7 @@ class PartitionCheckpoint:
                 raw_tests=int(document["raw_tests"]),
                 profile_skips=int(document["profile_skips"]),
                 frontier_skips=int(document["frontier_skips"]),
-                distinguished=[_bits_mask(row) for row in bits],
+                distinguished=[bits_to_mask(row) for row in bits],
             )
         except (KeyError, TypeError, ValueError):
             return None

@@ -57,8 +57,9 @@ from repro.generation.enumeration import (
 from repro.pipeline.adaptive import (
     AdaptiveSpace,
     PartitionCheckpoint,
-    ProfileIndex,
     audit_selected,
+    bits_to_mask,
+    mask_to_bits,
     profile_digest,
     repr_digest,
 )
@@ -88,6 +89,14 @@ BOUNDS: Dict[str, NaiveEnumerationConfig] = {
     ),
     "paper": NaiveEnumerationConfig(),
 }
+
+#: Why ``enumerate-verify --deps`` and ``ExhaustiveRequest(space="deps")``
+#: are refused (``PipelineConfig`` still accepts the space, for tests).
+DEPS_REFUSAL = (
+    "exhaustive verification of the 90-model dependency space is not "
+    "available: the naive enumeration has no dependency instructions yet, "
+    "so a DISAGREE against the standard suite would hold by construction"
+)
 
 #: Progress callback: ``progress(event, payload)``; events are
 #: ``"template"``, ``"shard"`` and ``"finish"``.
@@ -260,19 +269,6 @@ def _shard_path(run_dir: str, shard_index: int) -> str:
     return os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")
 
 
-def _mask_to_bits(mask: int, width: int) -> str:
-    """Bit ``i`` of ``mask`` at position ``i`` (lowest model first)."""
-    return format(mask, f"0{width}b")[::-1]
-
-
-def _bits_to_mask(bits: str) -> int:
-    mask = 0
-    for i, bit in enumerate(bits):
-        if bit == "1":
-            mask |= 1 << i
-    return mask
-
-
 # Checkpoint records are rendered straight to their JSON lines: names are
 # ``N<int>``, digests are hex and verdicts are bit strings, so nothing
 # needs escaping, and each line equals ``json.dumps(record)`` byte for byte.
@@ -280,12 +276,8 @@ def _row_line(name: str, digest: str, bits: str) -> str:
     return f'{{"test": "{name}", "key": "{digest}", "verdicts": "{bits}"}}\n'
 
 
-def _skip_line(name: str, digest: str, representative: str) -> str:
-    return f'{{"skip": "{name}", "profile": "{digest}", "rep": "{representative}"}}\n'
-
-
 def _frontier_line(name: str, digest: str, groups: Sequence[int], width: int) -> str:
-    bits = ", ".join(f'"{_mask_to_bits(group, width)}"' for group in groups)
+    bits = ", ".join(f'"{mask_to_bits(group, width)}"' for group in groups)
     return f'{{"frontier": "{name}", "profile": "{digest}", "groups": [{bits}]}}\n'
 
 
@@ -303,7 +295,7 @@ def _write_shard(
     with open(tmp, "w") as handle:
         handle.write(
             "".join(
-                _row_line(name, digest, _mask_to_bits(mask, num_models))
+                _row_line(name, digest, mask_to_bits(mask, num_models))
                 for name, digest, mask in zip(names, digests, rows)
             )
         )
@@ -323,22 +315,22 @@ def _write_adaptive_shard(
     extras: Dict[str, object],
     num_models: int,
 ) -> None:
-    """Persist an adaptive shard: verdict rows *and* skip certificates.
+    """Persist an adaptive shard: verdict rows *and* frontier certificates.
 
-    Records are written in stream order.  A checked test becomes a row
-    keyed by its profile digest; a profile skip records the representative
-    whose folded row its verdicts provably coincide with; a frontier skip
-    records the model-group decomposition under which no verdict row could
-    have refined the partition.  Both certificate kinds are machine-
-    checkable after the fact (and sampled by ``--audit-rate``).  In
-    ``extras["records"]`` skips arrive already rendered and a checked test
-    as its row index.
+    Records are written in stream order, one per test with a fresh profile.
+    A checked test becomes a row keyed by its profile digest; a frontier
+    skip records the model-group decomposition under which no verdict row
+    could have refined the partition (machine-checkable after the fact, and
+    sampled by ``--audit-rate``).  A profile skip has no record: its
+    digest's earlier row or frontier record is its certificate, and the
+    ``done`` marker counts it.  In ``extras["records"]`` frontier skips
+    arrive already rendered and a checked test as its row index.
     """
     path = _shard_path(run_dir, shard_index)
     tmp = path + ".tmp"
     lines = [
         record if isinstance(record, str)
-        else _row_line(names[record], digests[record], _mask_to_bits(rows[record], num_models))
+        else _row_line(names[record], digests[record], mask_to_bits(rows[record], num_models))
         for record in extras["records"]
     ]
     lines.append(
@@ -359,14 +351,15 @@ def _write_adaptive_shard(
     faults.truncate_file("pipeline.checkpoint", path, shard=shard_index)
 
 
-def _rebuild_profile_index(run_dir: str, shards_folded: int, pindex: ProfileIndex) -> None:
-    """Re-derive the profile-dedup index from the folded shard prefix.
+def _rebuild_profile_index(run_dir: str, shards_folded: int) -> Set[str]:
+    """Re-derive the profile digests met by the folded shard prefix.
 
-    Row and frontier records carry the first-occurrence representative per
-    profile digest (skip records reference an earlier representative, so
-    they add nothing).  Unreadable lines are tolerated: a lost digest only
+    Row and frontier records carry every digest the stream met first;
+    any other line (a profile-skip record of an older writer included)
+    adds nothing.  Unreadable lines are tolerated: a lost digest only
     means the test is re-checked — sound, just not maximally pruned.
     """
+    profiles: Set[str] = set()
     for shard_index in range(shards_folded):
         try:
             with open(_shard_path(run_dir, shard_index)) as handle:
@@ -380,11 +373,12 @@ def _rebuild_profile_index(run_dir: str, shards_folded: int, pindex: ProfileInde
                     if not isinstance(record, dict):
                         continue
                     if "test" in record and "key" in record:
-                        pindex.add(record["key"], record["test"])
+                        profiles.add(record["key"])
                     elif "frontier" in record:
-                        pindex.add(record["profile"], record["frontier"])
+                        profiles.add(record["profile"])
         except OSError:
             continue
+    return profiles
 
 
 def _load_shard(
@@ -415,7 +409,7 @@ def _load_shard(
             bits = row.get("verdicts")
             if row.get("key") != digest or not isinstance(bits, str) or len(bits) != num_models:
                 return None
-            rows.append(_bits_to_mask(bits))
+            rows.append(bits_to_mask(bits))
         return rows
     except (OSError, ValueError):
         return None
@@ -462,11 +456,11 @@ def _check_items(
 #: costs about as much to profile as a shard costs to check.
 RANGE_SHARDS = 8
 
-#: What profiling a raw range yields: the profile digest of every test in
-#: range order; ``(model groups, items)`` of each test whose digest is new
-#: to the profiler (only those can be new to the profile index); and the
-#: items of every test the audit sample selects.
-RangeResult = Tuple[List[str], Dict[int, Tuple[List[int], tuple]], Dict[int, tuple]]
+#: What profiling a raw range yields: the number of raw tests profiled;
+#: ``(digest, model groups, items)`` by range offset of each test whose
+#: digest is new to the profiler (only those can be new to the parent); and
+#: the items of every test the audit sample selects.
+RangeResult = Tuple[int, Dict[int, Tuple[str, List[int], tuple]], Dict[int, tuple]]
 
 
 def _profile_range(
@@ -485,8 +479,9 @@ def _profile_range(
 
     ``seen`` holds the digests this profiler met in *earlier* ranges of the
     stream; it is updated in place.  The parent classifies ranges in raw
-    order and indexes every digest it classifies, so such a digest is
-    already indexed when this range is classified and needs no groups.
+    order and indexes every digest it classifies, so a test whose digest is
+    in ``seen``, or repeats one met earlier in the range, is a profile skip
+    the parent recognises by its absence from the result.
 
     ``native`` (the run's kernel resolved to ``native``) profiles with the
     C profiler (:class:`~repro.pipeline.adaptive.NativeProfiler`); the
@@ -495,21 +490,21 @@ def _profile_range(
     """
     if native:
         return _profile_range_native(space, config, start, stop, seen)
-    digests: List[str] = []
-    firsts: Dict[int, Tuple[List[int], tuple]] = {}
+    count = 0
+    firsts: Dict[int, Tuple[str, List[int], tuple]] = {}
     audits: Dict[int, tuple] = {}
     rate = config.audit_rate
     stream = enumerate_raw_naive_items(config.enumeration_config(), start=start)
     for offset, (name, items) in zip(range(stop - start), stream):
         profile = space.profile(items)
         digest = profile_digest(profile)
-        digests.append(digest)
         if digest not in seen:
             seen.add(digest)
-            firsts[offset] = (space.groups(profile), items)
+            firsts[offset] = (digest, space.groups(profile), items)
         if rate and audit_selected(digest, name, rate):
             audits[offset] = items
-    return digests, firsts, audits
+        count += 1
+    return count, firsts, audits
 
 
 def _profile_range_native(
@@ -519,36 +514,34 @@ def _profile_range_native(
     per call; items are rebuilt only for first-seen and audited tests."""
     native = space.native_profiler()
     profiler, known = native.profiler, native.digests
-    digests: List[str] = []
-    firsts: Dict[int, Tuple[List[int], tuple]] = {}
+    firsts: Dict[int, Tuple[str, List[int], tuple]] = {}
     audits: Dict[int, tuple] = {}
     rate = config.audit_rate
     offset = 0
     for templates, choices, skip in raw_naive_blocks(config.enumeration_config(), start):
         ids, fresh = profiler.profile_block(templates, choices, skip, stop - start - offset)
         known.extend(map(repr_digest, fresh))
-        block = [known[pid] for pid in ids]
-        digests.extend(block)
-        # First-seen tests: the first occurrence of each digest new to ``seen``.
-        new = set(block).difference(seen)
-        seen.update(new)
-        for index, digest in enumerate(block):
+        # First-seen tests: the first occurrence of each id new to ``seen``.
+        new = {pid for pid in set(ids) if known[pid] not in seen}
+        seen.update(known[pid] for pid in new)
+        for index, pid in enumerate(ids):
             if not new:
                 break
-            if digest in new:
-                new.discard(digest)
+            if pid in new:
+                new.discard(pid)
                 firsts[offset + index] = (
-                    space.groups(profiler.profile(ids[index])),
+                    known[pid],
+                    space.groups(profiler.profile(pid)),
                     block_items(templates, choices, skip + index),
                 )
         if rate:
-            for index, digest in enumerate(block):
-                if audit_selected(digest, f"N{start + offset + index + 1}", rate):
+            for index, pid in enumerate(ids):
+                if audit_selected(known[pid], f"N{start + offset + index + 1}", rate):
                     audits[offset + index] = block_items(templates, choices, skip + index)
         offset += len(ids)
         if offset == stop - start:
             break
-    return digests, firsts, audits
+    return offset, firsts, audits
 
 
 #: State inherited by forked workers: the config, the model list, the
@@ -661,8 +654,10 @@ class _AdaptiveStream:
     profiled elsewhere (:func:`_profile_range`); :meth:`feed` consumes
     their results strictly in raw order and, per raw test:
 
-    * profile already indexed -> **profile skip** (certificate: the
-      representative whose folded row the verdicts coincide with);
+    * profile already indexed -> **profile skip** (certificate: the earlier
+      row or frontier record with the same digest); a range result lists
+      only the tests new to its profiler and the audit sample, so the
+      tests between those are profile skips, counted in bulk;
     * profile fresh but no row constant on its model groups could refine
       the accumulator matrix -> **frontier skip** (certificate: the group
       masks); the matrix only grows, so the decision never needs revisiting
@@ -684,7 +679,7 @@ class _AdaptiveStream:
         config: PipelineConfig,
         space: AdaptiveSpace,
         accumulator: PartitionAccumulator,
-        pindex: ProfileIndex,
+        profiles: Set[str],
         counters: Dict[str, int],
         start_shard: int,
         native: bool = False,
@@ -694,10 +689,13 @@ class _AdaptiveStream:
         #: ranges are profiled by the C profiler (the run's kernel is native)
         self.native = native
         self.accumulator = accumulator
-        self.pindex = pindex
+        #: the profile digests classified so far
+        self.profiles = profiles
         self.counters = counters
         #: the index of the next shard to cut
         self.shard_index = start_shard
+        #: the raw offset of the last cut
+        self.cut_offset = counters["raw"]
         self.produced = accumulator.tests_folded
         #: True once the limit is reached or the stream was cut short
         self.done = False
@@ -718,23 +716,31 @@ class _AdaptiveStream:
 
     def feed(self, start: int, result: RangeResult) -> Iterator[ShardTuple]:
         """Classify one profiled range; yields each shard as it is cut."""
-        digests, firsts, audits = result
+        count, firsts, audits = result
         counters, limit, size = self.counters, self.config.limit, self.config.shard_size
         width = self.accumulator.num_models
-        representative, index_add = self.pindex.representative, self.pindex.add
-        for offset, digest in enumerate(digests):
+        profiles = self.profiles
+        #: the offset after the last test classified
+        position = 0
+        for offset in sorted(firsts.keys() | audits.keys()) + [count]:
             if limit is not None and self.produced >= limit:
                 self.done = True
                 return
+            # The tests since the last one visited are profile skips (the
+            # trailing ``count`` closes the range).
+            counters["raw"] += offset - position
+            counters["profile_skips"] += offset - position
+            if offset == count:
+                return
             counters["raw"] += 1
+            position = offset + 1
             name = f"N{start + offset + 1}"
-            known = representative(digest)
-            if known is not None:
+            fresh = firsts.get(offset)
+            if fresh is None or fresh[0] in profiles:
                 counters["profile_skips"] += 1
-                self.records.append(_skip_line(name, digest, known))
             else:
-                groups, items = firsts[offset]
-                index_add(digest, name)
+                digest, groups, items = fresh
+                profiles.add(digest)
                 if self.accumulator.can_refine(groups):
                     self.records.append(len(self.names))
                     self.names.append(name)
@@ -753,7 +759,7 @@ class _AdaptiveStream:
     def finish(self) -> Iterator[ShardTuple]:
         """Cut the last, partial shard (if the stream left one)."""
         self.done = True
-        if self.names or self.records:
+        if self.counters["raw"] > self.cut_offset:
             yield self._cut()
 
     def _cut(self) -> ShardTuple:
@@ -766,6 +772,7 @@ class _AdaptiveStream:
         }
         shard = (self.shard_index, self.names, self.digests, self.items_list, extras)
         self.shard_index += 1
+        self.cut_offset = counters["raw"]
         self.names, self.digests, self.items_list, self.records = [], [], [], []
         return shard
 
@@ -874,7 +881,7 @@ def run_pipeline(
     # ------------------------------------------------------------------
     # adaptive state: profile index, skip counters, partition checkpoint
     # ------------------------------------------------------------------
-    pindex = ProfileIndex()
+    profiles: Set[str] = set()
     counters = {"raw": 0, "profile_skips": 0, "frontier_skips": 0}
     start_shard = 0
     partition_path: Optional[str] = None
@@ -894,7 +901,7 @@ def run_pipeline(
                 counters["profile_skips"] = restored.profile_skips
                 counters["frontier_skips"] = restored.frontier_skips
                 start_shard = shards_resumed = restored.shards_folded
-                _rebuild_profile_index(run_dir, start_shard, pindex)
+                profiles = _rebuild_profile_index(run_dir, start_shard)
     #: next shard index whose fold extends the contiguous folded prefix;
     #: the partition checkpoint only advances while the prefix is intact
     #: (a quarantined shard freezes it at the last sound state).
@@ -957,7 +964,7 @@ def run_pipeline(
     stream: Optional[_AdaptiveStream] = None
     if adaptive_space is not None:
         stream = _AdaptiveStream(
-            config, adaptive_space, accumulator, pindex, counters, start_shard,
+            config, adaptive_space, accumulator, profiles, counters, start_shard,
             native=resolved_kernel == "native",
         )
 

@@ -26,7 +26,6 @@ from repro.pipeline.adaptive import (
     AdaptiveSpace,
     NativeProfiler,
     PartitionCheckpoint,
-    ProfileIndex,
     audit_selected,
     profile_digest,
 )
@@ -396,9 +395,11 @@ def test_audit_fails_on_an_unsound_skip(monkeypatch):
 # shard records & config plumbing
 # ----------------------------------------------------------------------
 def test_adaptive_shard_files_carry_certificates(tmp_path):
+    """One record per fresh profile (a row or a frontier certificate); the
+    profile skips are counted in the done markers, never recorded."""
     run_dir = str(tmp_path / "run")
     report = _run_adaptive(run_dir)
-    rows = skips = frontiers = 0
+    rows = frontiers = 0
     for shard_index in range(report.shards_total):
         path = os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")
         lines = [json.loads(line) for line in open(path)]
@@ -409,27 +410,41 @@ def test_adaptive_shard_files_carry_certificates(tmp_path):
                 rows += 1
                 assert set(record) == {"test", "key", "verdicts"}
                 assert len(record["verdicts"]) == len(MODEL_NAMES)
-            elif "skip" in record:
-                skips += 1
-                assert set(record) == {"skip", "profile", "rep"}
             else:
                 frontiers += 1
                 assert set(record) == {"frontier", "profile", "groups"}
     assert rows == report.unique_tests
-    assert skips == report.profile_skips
     assert frontiers == report.frontier_skips
     assert marker["raw_offset"] == report.raw_tests
+    assert marker["profile_skips"] == report.profile_skips > 0
+    assert rows + frontiers + report.profile_skips == report.raw_tests
+
+
+def test_a_tail_of_profile_skips_still_cuts_a_shard(tmp_path):
+    """At ``tiny`` with 13-test shards the last fresh test fills shard 3
+    and only profile skips follow it; they still get a shard of their own
+    (a bare done marker), so the checkpoints cover the whole stream."""
+    run_dir = str(tmp_path / "run")
+    report = run_pipeline(
+        PipelineConfig(
+            bound="tiny", kernel="bigint", adaptive=True, shard_size=13, run_dir=run_dir
+        )
+    )
+    assert report.shards_total == 5
+    with open(os.path.join(run_dir, "shards", "shard-00004.jsonl")) as handle:
+        (marker,) = [json.loads(line) for line in handle]
+    assert marker["tests"] == 0 and marker["raw_offset"] == report.raw_tests
+    assert marker["profile_skips"] == report.profile_skips
+    checkpoint = PartitionCheckpoint.load(os.path.join(run_dir, "partition.json"))
+    assert checkpoint.shards_folded == 5 and checkpoint.raw_offset == report.raw_tests
 
 
 def test_checkpoint_lines_equal_json_dumps():
     """Records are rendered straight to their lines, byte for byte what
     ``json.dumps`` writes for the same record."""
-    from repro.pipeline.run import _frontier_line, _row_line, _skip_line
+    from repro.pipeline.run import _frontier_line, _row_line
 
     digest = "0123456789abcdef0123456789abcdef"
-    assert _skip_line("N12", digest, "N3") == json.dumps(
-        {"skip": "N12", "profile": digest, "rep": "N3"}
-    ) + "\n"
     assert _row_line("N7", digest, "0110") == json.dumps(
         {"test": "N7", "key": digest, "verdicts": "0110"}
     ) + "\n"
@@ -456,30 +471,31 @@ def test_adaptive_shard_files_are_json_dumps_lines(tmp_path):
             for line in handle:
                 assert line == json.dumps(json.loads(line)) + "\n"
                 lines += 1
-    assert lines == report.raw_tests + report.shards_total
+    assert lines == report.unique_tests + report.frontier_skips + report.shards_total
 
 
 # ----------------------------------------------------------------------
 # the prefilter in the workers
 # ----------------------------------------------------------------------
-def _skip_records(run_dir, shards):
-    """The ``(skip, rep)`` pairs of a run dir's profile-skip records."""
-    pairs = []
+def _fresh_names(run_dir, shards):
+    """The names of a run dir's fresh-profile tests (rows and frontier
+    certificates), in stream order."""
+    names = []
     for shard_index in range(shards):
         with open(os.path.join(run_dir, "shards", f"shard-{shard_index:05d}.jsonl")) as handle:
             for line in handle:
                 record = json.loads(line)
-                if "skip" in record:
-                    pairs.append((record["skip"], record["rep"]))
-    return pairs
+                if "test" in record or "frontier" in record:
+                    names.append(record.get("test", record.get("frontier")))
+    return names
 
 
 @pytest.mark.parametrize("bound,jobs", [("small", 2), ("medium", 2), ("medium", 4)])
 def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound, jobs):
     """Workers profiling raw ranges give the serial run's partition, raw
-    count and profile-skip certificates (frontier decisions may use a
-    lagged matrix, so only the sum of checked and frontier-skipped tests
-    must agree)."""
+    count and fresh-profile tests (frontier decisions may use a lagged
+    matrix, so only the sum of checked and frontier-skipped tests must
+    agree)."""
     monkeypatch.setattr(os, "cpu_count", lambda: jobs)
     serial = _run_adaptive(str(tmp_path / "serial"), bound)
     parallel = _run_adaptive(str(tmp_path / "parallel"), bound, jobs=jobs)
@@ -493,9 +509,9 @@ def test_worker_prefilter_matches_the_serial_run(tmp_path, monkeypatch, bound, j
             report.profile_skips + report.frontier_skips + report.unique_tests
             == report.raw_tests
         )
-    assert _skip_records(str(tmp_path / "parallel"), parallel.shards_total) == _skip_records(
-        str(tmp_path / "serial"), serial.shards_total
-    )
+    fresh = _fresh_names(str(tmp_path / "serial"), serial.shards_total)
+    assert len(fresh) == serial.unique_tests + serial.frontier_skips
+    assert _fresh_names(str(tmp_path / "parallel"), parallel.shards_total) == fresh
 
 
 def test_worker_prefilter_audits_on_the_workers(tmp_path, monkeypatch):

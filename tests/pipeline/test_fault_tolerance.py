@@ -305,3 +305,61 @@ def test_crash_resume_is_bit_identical(tmp_path, clean_report):
     assert resumed.shards_resumed == 1  # only the intact checkpoint
     assert resumed.shards_checked == clean_report.shards_total - 1
     assert _essence(resumed) == _essence(clean_report)
+
+
+def _with_profile_skip_records(run_dir, shards):
+    """Rewrite ``shards`` shard files the way writers that recorded every
+    profile skip laid them out: a ``{"skip", "profile", "rep"}`` line for
+    each raw test whose profile an earlier test already had, in raw order
+    among the row and frontier records.  Returns the lines added."""
+    from repro.core.parametric import model_space
+    from repro.generation.enumeration import enumerate_raw_naive_items
+    from repro.pipeline.adaptive import AdaptiveSpace, profile_digest
+    from repro.pipeline.run import BOUNDS
+
+    space = AdaptiveSpace.build(model_space(include_data_dependencies=False))
+    raw = enumerate_raw_naive_items(BOUNDS["small"])
+    reps = {}
+    added = 0
+    for shard_index in range(shards):
+        path = _shard_path(run_dir, shard_index)
+        with open(path) as handle:
+            *records, marker = handle.readlines()
+        lines = []
+        while records or len(reps) + added < json.loads(marker)["raw_offset"]:
+            name, items = next(raw)
+            digest = profile_digest(space.profile(items))
+            if digest in reps:
+                record = {"skip": name, "profile": digest, "rep": reps[digest]}
+                lines.append(json.dumps(record) + "\n")
+                added += 1
+            else:
+                reps[digest] = name
+                assert f'"{name}"' in records[0]
+                lines.append(records.pop(0))
+        with open(path, "w") as handle:
+            handle.writelines(lines + [marker])
+    return added
+
+
+def test_adaptive_resume_reads_past_profile_skip_records(tmp_path):
+    """Run dirs of writers that recorded every profile skip still resume:
+    SIGKILL an adaptive run mid-stream, give its shard files those skip
+    records, and the resumed report equals an uninterrupted run's."""
+    clean = run_pipeline(PipelineConfig(**SMALL_ADAPTIVE))
+    run_dir = str(tmp_path / "run")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    env["REPRO_FAULTS"] = "pipeline.shard[shard=3,attempt=0]=kill"
+    crashed = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "enumerate-verify", "--bound", "small",
+         "--adaptive", "--shard-size", "24", "--run-dir", run_dir],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert crashed.returncode == -signal.SIGKILL
+    assert not os.path.exists(_shard_path(run_dir, 3))
+    assert _with_profile_skip_records(run_dir, 3) > 0
+
+    resumed = run_pipeline(PipelineConfig(run_dir=run_dir, resume=True, **SMALL_ADAPTIVE))
+    assert resumed.shards_resumed == 3
+    assert _essence(resumed) == _essence(clean)

@@ -3,13 +3,15 @@
 ``_profile_range(..., native=True)`` reduces and keys every raw test in
 ``_kernelmod.Profiler``; ``native=False`` runs the reference
 :meth:`AdaptiveSpace.profile`.  Both must return the same range result —
-digest list, first-seen ``(groups, items)`` and audit items — on every
-raw test of the small bounds, on seeded samples of the large ones, on the
-90-model space (masks wider than 64 bits) and on three-thread tests
-(the permutation minimisation).
+test count, first-seen ``(digest, groups, items)`` and audit items — and
+both must give every raw test the same profile digest, on every raw test
+of the small bounds, on seeded samples of the large ones, on the 90-model
+space (masks wider than 64 bits) and on three-thread tests (the
+permutation minimisation).
 """
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -21,7 +23,7 @@ from repro.generation.enumeration import (
     raw_naive_blocks,
 )
 from repro.native.backend import native_available
-from repro.pipeline.adaptive import AdaptiveSpace, profile_digest, repr_digest
+from repro.pipeline.adaptive import AdaptiveSpace, NativeProfiler, profile_digest, repr_digest
 from repro.pipeline.run import BOUNDS, RANGE_SHARDS, PipelineConfig, _profile_range
 
 pytestmark = pytest.mark.skipif(not native_available(), reason="C extension not built")
@@ -48,15 +50,48 @@ def _ranges(total, size):
     return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
+def _reference_digests(space, config, start, stop):
+    """The profile digest of every raw test ``start .. stop-1``, through
+    :meth:`AdaptiveSpace.profile`."""
+    stream = enumerate_raw_naive_items(config.enumeration_config(), start=start)
+    return [profile_digest(space.profile(items)) for _name, items in islice(stream, stop - start)]
+
+
+def _native_digests(space, config, start, stop):
+    """The same digests through a C profiler of their own, block by block
+    as :func:`_profile_range` walks the stream."""
+    native = NativeProfiler(space)
+    digests = []
+    for templates, choices, skip in raw_naive_blocks(config.enumeration_config(), start):
+        ids, fresh = native.profiler.profile_block(
+            templates, choices, skip, stop - start - len(digests)
+        )
+        native.digests.extend(map(repr_digest, fresh))
+        digests.extend(native.digests[pid] for pid in ids)
+        if len(digests) == stop - start:
+            break
+    return digests
+
+
 def _assert_same(space, config, ranges):
     """Both profilers over ``ranges`` in order, each with its own ``seen``
-    carried from range to range, as a worker carries it."""
+    carried from range to range, as a worker carries it; every raw test's
+    digest agrees, and the range result lists exactly the first test of
+    each digest new to ``seen``."""
     python_seen, native_seen = set(), set()
     for start, stop in ranges:
+        digests = _reference_digests(space, config, start, stop)
+        assert _native_digests(space, config, start, stop) == digests, (start, stop)
+        expected = {}
+        for offset, digest in enumerate(digests):
+            if digest not in python_seen and digest not in expected:
+                expected[digest] = offset
         reference = _profile_range(space, config, start, stop, python_seen)
         native = _profile_range(space, config, start, stop, native_seen, native=True)
-        assert len(native[0]) == stop - start
+        assert native[0] == stop - start
+        assert {first[0]: offset for offset, first in native[1].items()} == expected
         assert native == reference, (start, stop)
+        assert native_seen == python_seen
 
 
 @pytest.mark.parametrize("bound", ["tiny", "small", "medium"])
@@ -112,7 +147,7 @@ def test_ranges_that_start_and_stop_mid_combination():
     config = _config("small")
     space = _space("no_deps")
     total = count_naive_tests(config.enumeration_config())
-    whole = _profile_range(space, config, 0, total, set(), native=True)[0]
+    whole = _native_digests(space, config, 0, total)
     # Cut inside combinations of three or more outcomes, spread over the bound.
     inside, position = [], 0
     for _templates, choices, _skip in raw_naive_blocks(config.enumeration_config()):
@@ -127,9 +162,7 @@ def test_ranges_that_start_and_stop_mid_combination():
     for start in cuts:
         for stop in (start + 1, min(start + 17, total), total):
             _assert_same(space, config, [(start, stop)])
-            assert _profile_range(space, config, start, stop, set(), native=True)[0] == (
-                whole[start:stop]
-            )
+            assert _native_digests(space, config, start, stop) == whole[start:stop]
 
 
 def test_profiles_render_and_rebuild_exactly():

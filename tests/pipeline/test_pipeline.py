@@ -235,6 +235,32 @@ def test_path_restricted_session_rejects_run_dir(tmp_path):
         session.run(ExhaustiveRequest(bound="tiny", run_dir=str(tmp_path)))
 
 
+def test_enumerate_verify_refuses_the_dependency_space(capsys):
+    from repro.cli import main
+
+    assert main(["enumerate-verify", "--deps", "--bound", "tiny"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no dependency instructions" in captured.err
+    assert "by construction" in captured.err
+
+
+def test_exhaustive_request_refuses_the_dependency_space():
+    import io
+
+    from repro.api.serve import serve_stream
+
+    with pytest.raises(ValueError, match="no dependency instructions"):
+        Session().run(ExhaustiveRequest(bound="tiny", space="deps"))
+    output = io.StringIO()
+    line = json.dumps({"op": "exhaustive", "bound": "tiny", "space": "deps"})
+    assert serve_stream(Session(), io.StringIO(line + "\n"), output) == 1
+    response = json.loads(output.getvalue())
+    assert response["ok"] is False
+    assert response["error"]["code"] == "invalid_request"
+    assert "by construction" in response["error"]["message"]
+
+
 def test_exhaustive_request_round_trips_as_json():
     request = ExhaustiveRequest(bound="tiny", jobs=2, limit=10, resume=False)
     document = request_to_json(request)
