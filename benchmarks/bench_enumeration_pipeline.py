@@ -13,7 +13,12 @@ track its stages:
   (enumerate, canonicalize, shard, check, fold), recording unique
   tests/second and checks/second in ``extra_info``;
 * ``test_column_checking_throughput`` — the per-shard verdict-column hot
-  loop (``CheckEngine.check_column`` over the 36-model space).
+  loop (``CheckEngine.check_column`` over the 36-model space) on
+  materialised litmus tests, the object path;
+* ``test_items_checking_throughput`` — the pipeline's real hot loop,
+  ``_check_items`` over every ``medium`` unique test's abstract items: on
+  the native kernel the items path, which builds each C search problem
+  from the items without litmus-test objects.
 
 Every run asserts correctness facts alongside the timing so a regression
 in either shows up here.
@@ -22,9 +27,12 @@ in either shows up here.
 import pytest
 
 from repro.engine import CheckEngine
-from repro.generation.enumeration import enumerate_canonical_naive_tests
+from repro.generation.enumeration import (
+    enumerate_canonical_naive_items,
+    enumerate_canonical_naive_tests,
+)
 from repro.pipeline import CanonicalIndex, PipelineConfig, run_pipeline
-from repro.pipeline.run import BOUNDS
+from repro.pipeline.run import BOUNDS, _check_items
 
 BOUND = "small"
 
@@ -83,3 +91,25 @@ def test_column_checking_throughput(benchmark, models_36):
     benchmark.extra_info["columns_per_second"] = round(
         len(tests) / benchmark.stats.stats.median
     )
+
+
+@pytest.mark.benchmark(group="enumeration-pipeline")
+def test_items_checking_throughput(benchmark, models_36):
+    """The pipeline's hot loop: `_check_items` over `medium`'s unique items,
+    with monotone derivation on as in adaptive runs."""
+    triples = list(enumerate_canonical_naive_items(BOUNDS["medium"]))
+    names = [name for _key, name, _items in triples]
+    items_list = [items for _key, _name, items in triples]
+
+    def check_items():
+        engine = CheckEngine("explicit")
+        engine.precompile(models_36)
+        rows, stats = _check_items(engine, models_36, names, items_list, True)
+        return rows, stats
+
+    rows, stats = benchmark.pedantic(check_items, rounds=5, iterations=1)
+    assert len(rows) == len(names) == 1253
+    assert stats["executions_evaluated"] == len(names)
+    assert 0 < sum(bin(row).count("1") for row in rows) < len(rows) * len(models_36)
+    benchmark.extra_info["kernel"] = stats["kernel_backend"]
+    benchmark.extra_info["tests_per_second"] = round(len(names) / benchmark.stats.stats.median)

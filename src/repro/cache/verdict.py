@@ -100,15 +100,21 @@ class VerdictCache:
         Only tests inside the canonicalizable Load/Store/Fence fragment get
         a key: their canonical form is a pure function of the program and
         outcome, stable across processes.  Anything else (dependency
-        idioms, computed addresses) is simply never cached.
+        idioms, computed addresses) is simply never cached.  An
+        :class:`~repro.generation.enumeration.ItemsTest` is keyed from its
+        items, with the same digest its materialised test would get.
         """
         key = id(test)
         entry = self._test_digests.get(key)
         if entry is not None and entry[0] is test:
             return entry[1]
+        from repro.generation.enumeration import ItemsTest
         from repro.pipeline.canonical import abstract_test, canonical_form, key_digest
 
-        abstracted = abstract_test(test)  # type: ignore[arg-type]
+        if isinstance(test, ItemsTest):
+            abstracted = test.items
+        else:
+            abstracted = abstract_test(test)  # type: ignore[arg-type]
         digest = (
             key_digest(canonical_form(abstracted)) if abstracted is not None else None
         )

@@ -9,7 +9,9 @@ vector is a sequence of columns.  Within a column the engine:
 
 * evaluates the test's :class:`~repro.core.execution.Execution` once and
   shares it — plus the indexed execution or the CNF skeleton — across
-  every model (:class:`~repro.engine.context.TestContext`);
+  every model (:class:`~repro.engine.context.TestContext`); an enumerated
+  test handed over as its items on the native kernel skips the objects and
+  shares the C search problem built from the items instead;
 * evaluates each model's forced po-pair mask (batched through the kernel's
   combined program), and asks the strategy for one decision per distinct
   mask the context has not decided yet — models forcing the same edges
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.compile import CompiledModel, compile_model
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
-from repro.engine.context import TestContext
+from repro.engine.context import CheckedTest, TestContext
 from repro.engine.strategies import CheckStrategy, make_strategy
 from repro.util import faults
 
@@ -203,7 +205,7 @@ class CheckEngine:
         #: ``.sink``: the calling thread's innermost open recording
         self._local = threading.local()
         # id(test) -> (test, context); the test reference keeps the id stable.
-        self._contexts: Dict[int, Tuple[LitmusTest, TestContext]] = {}
+        self._contexts: Dict[int, Tuple[CheckedTest, TestContext]] = {}
         # Model resolution goes through the process-global compile cache,
         # but hit/miss accounting is kept engine-local (via the digest and
         # node-id sets below) so the compile/CSE counters are deterministic
@@ -272,7 +274,7 @@ class CheckEngine:
     # ------------------------------------------------------------------
     # contexts and model compilation (callers hold :attr:`lock`)
     # ------------------------------------------------------------------
-    def _context(self, test: LitmusTest, retain: bool, spent: EngineStats) -> TestContext:
+    def _context(self, test: CheckedTest, retain: bool, spent: EngineStats) -> TestContext:
         """Return the test's context, building it (and retaining it, when
         asked: a one-shot test would only grow the identity-keyed cache)."""
         key = id(test)
@@ -280,9 +282,9 @@ class CheckEngine:
         if entry is not None and entry[0] is test:
             spent.context_cache_hits += 1
             return entry[1]
-        context = TestContext(test)
+        context = TestContext(test, self.kernel)
         spent.executions_evaluated += 1
-        if context.execution is None:
+        if context.error:
             spent.execution_failures += 1
         if retain:
             self._contexts[key] = (test, context)
@@ -367,7 +369,7 @@ class CheckEngine:
 
     def check_column(
         self,
-        test: LitmusTest,
+        test: CheckedTest,
         models: Sequence[MemoryModel],
         retain: bool = False,
         derive: bool = False,
@@ -388,6 +390,11 @@ class CheckEngine:
         ``forbidden`` at every superset.  Verdicts are identical, but those
         shortcuts count as ``derived_verdicts`` instead of searches, which
         is why the brute pipeline keeps the flag off.
+
+        ``test`` may be an :class:`~repro.generation.enumeration.ItemsTest`:
+        on the native kernel its search problem is built from the items,
+        with no litmus-test objects (:class:`~repro.engine.context.
+        TestContext`); every other engine materialises it.
         """
         spent = getattr(self._local, "sink", None)
         if spent is None:
@@ -396,7 +403,7 @@ class CheckEngine:
         return self._check_column(test, models, retain, derive, spent)
 
     def _check_column(
-        self, test: LitmusTest, models: Sequence[MemoryModel], retain: bool, derive: bool,
+        self, test: CheckedTest, models: Sequence[MemoryModel], retain: bool, derive: bool,
         spent: EngineStats,
     ) -> List[bool]:
         if faults._FAULTS:
@@ -440,7 +447,7 @@ class CheckEngine:
         stats: EngineStats,
     ) -> List[bool]:
         """The column's verdicts: one strategy decision per undecided mask."""
-        if context.execution is None:
+        if context.error:
             return [False] * len(compiled_models)
         strategy = self.strategy
         first_visit = not context.candidate_space_built

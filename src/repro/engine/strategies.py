@@ -10,7 +10,8 @@ builds its candidate space once per test and answers one mask at a time:
 
 * :class:`ExplicitStrategy` — the pruned backtracking search of
   :mod:`repro.checker.kernel` (or its C twin) over the context's cached
-  :class:`~repro.checker.kernel.IndexedExecution`;
+  candidate space (:meth:`~repro.engine.context.TestContext.
+  candidate_space`);
 * :class:`IncrementalSatStrategy` — the SAT semantics of
   :class:`~repro.checker.sat_checker.SatChecker`, answering each mask with
   one ``solve(assumptions=...)`` of the test's persistent incremental
@@ -55,7 +56,7 @@ class CheckStrategy(Protocol):
 
 
 class ExplicitStrategy:
-    """Pruned backtracking over the context's bitset-indexed execution.
+    """Pruned backtracking over the context's candidate space.
 
     The search and the mask-program evaluation run on a pluggable
     :class:`~repro.native.backend.KernelBackend` — the C extension or the
@@ -74,17 +75,15 @@ class ExplicitStrategy:
 
     def prepare(self, context: TestContext) -> bool:
         # infeasible: some load's observed value is unobtainable
-        return not context.indexed().infeasible
+        return not context.candidate_space().infeasible
 
     def decide(self, context: TestContext, mask: int, stats: "EngineStats") -> bool:
-        indexed = context.indexed()
-        pairs = [pair for p, pair in enumerate(indexed.po_pairs) if (mask >> p) & 1]
         kernel = self.kernel
         if kernel.is_native:
             stats.native_searches += 1
         else:
             stats.fallback_searches += 1
-        return kernel.allowed(indexed, pairs)
+        return kernel.allowed(context.candidate_space(), mask)
 
 
 class IncrementalSatStrategy:

@@ -411,6 +411,32 @@ def test_from_items(
     return build_canonical_test(items, name, description="naive enumeration")
 
 
+class ItemsTest:
+    """An enumerated test as its name and abstract items.
+
+    What the pipeline hands :meth:`~repro.engine.engine.CheckEngine.
+    check_column` on the native kernel: the engine builds the C search
+    problem from ``items`` directly, and :meth:`litmus` materialises the
+    :class:`~repro.core.litmus.LitmusTest` only for a consumer that needs
+    the object (a fallback atom, a witness, the SAT backend).
+    """
+
+    __slots__ = ("name", "items", "_test")
+
+    def __init__(
+        self, name: str, items: Tuple[Tuple[Tuple[str, object, object], ...], ...]
+    ) -> None:
+        self.name = name
+        self.items = items
+        self._test: Optional[LitmusTest] = None
+
+    def litmus(self) -> LitmusTest:
+        """The materialised test (:func:`test_from_items`), built once."""
+        if self._test is None:
+            self._test = test_from_items(self.items, self.name)
+        return self._test
+
+
 #: The item of a fence (outcome-independent, shared by every row).
 _FENCE_ITEM = ("F", "full", 0)
 

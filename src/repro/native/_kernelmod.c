@@ -7,10 +7,17 @@
  * (tests/native/test_kernel_differential.py) holds both bit-identical to
  * the bigint kernel, across the 64-bit word boundaries too:
  *
- *   Problem        -- one execution's flattened search problem, built from
- *                     repro.native.problem.KernelProblem: the decision
- *                     plan, coherence orders, read-from candidates and
- *                     program order as contiguous int32/uint64 buffers.
+ *   Problem        -- one execution's flattened search problem: the
+ *                     decision plan, coherence orders, read-from
+ *                     candidates, program order and the event-flag,
+ *                     location and po-pair buffers of the atom masks, as
+ *                     contiguous int32/uint64 buffers.  Built from the
+ *                     buffers repro.native.problem flattens out of an
+ *                     IndexedExecution, or by Problem.from_items straight
+ *                     from an enumerated test's item tuples (the same
+ *                     tuples the Profiler parses); Problem.fields exposes
+ *                     every table so tests/native/test_items_problem.py
+ *                     can hold the two constructions equal.
  *   Problem.search -- the decide/propagate/undo backtracking search with
  *                     incremental word-array reachability, O(words) undo
  *                     via a (word-offset, old-word) trail, and cycle /
@@ -19,10 +26,14 @@
  *                     index per slot) or None -- iteration order matches
  *                     the bigint kernel exactly, so witnesses are
  *                     bit-identical across backends.
+ *   Problem.allowed -- the same search for the po pairs set in a mask,
+ *                     answering only whether a witness exists.
+ *   Problem.atom_masks -- the builtin trait/SameAddr atoms' truth vectors.
  *   Problem.eval_program -- evaluates a flattened ModelIR mask program
  *                     (repro.native.flatprog encoding) over the po-pair
- *                     word universe, atoms supplied as precomputed
- *                     little-endian word buffers.
+ *                     word universe, atoms supplied as one buffer of
+ *                     little-endian words, and returns the output
+ *                     registers as Python ints.
  *   bench_reach    -- reachability add/undo micro-benchmark hook.
  *   Profiler       -- the adaptive pipeline's range profiler, built once
  *                     per process from an AdaptiveSpace's pair tables
@@ -46,6 +57,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <structmember.h>
 
 #include <stdint.h>
 #include <string.h>
@@ -58,6 +70,11 @@
 #define OP_OR 5
 
 #define RF_INITIAL (-1)
+
+/* event kinds, in item order ("R" < "W"; fences last) */
+#define PF_R 0
+#define PF_W 1
+#define PF_F 2
 
 typedef struct {
     PyObject_HEAD
@@ -81,6 +98,11 @@ typedef struct {
     int32_t *rf_flat;
     int32_t *thread_of;  /* n */
     uint64_t *po_before; /* n * nw */
+    char infeasible;     /* some load has no read-from candidate */
+    /* the atom_masks inputs */
+    int32_t *pairs;      /* num_pairs * 2: same-thread po pairs (u, v) */
+    uint8_t *flags;      /* n: read 1 | write 2 | fence 4 | memory access 8 */
+    int32_t *locid;      /* n: first-use location index, -1 for fences */
     /* reusable search state */
     uint64_t *reach;     /* n * nw */
     int64_t *trail_off;
@@ -131,6 +153,9 @@ Problem_dealloc(ProblemObject *self)
     PyMem_Free(self->rf_flat);
     PyMem_Free(self->thread_of);
     PyMem_Free(self->po_before);
+    PyMem_Free(self->pairs);
+    PyMem_Free(self->flags);
+    PyMem_Free(self->locid);
     PyMem_Free(self->reach);
     PyMem_RawFree(self->trail_off);
     PyMem_RawFree(self->trail_old);
@@ -140,24 +165,70 @@ Problem_dealloc(ProblemObject *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
+/* Allocate the reusable search state and derive `infeasible`, once the
+ * problem's tables are in place.  -1 with an exception set on failure. */
+static int
+problem_finish(ProblemObject *self)
+{
+    int i, n = self->n, nloads = self->nloads, nslots = self->nslots;
+
+    self->infeasible = 0;
+    for (i = 0; i < nloads; i++) {
+        if (self->rf_off[i] == self->rf_off[i + 1])
+            self->infeasible = 1;
+    }
+    self->reach = PyMem_Malloc((size_t)n * self->nw * 8 + 8);
+    self->rf_choice = PyMem_Malloc((size_t)(nloads ? nloads : 1) * 4);
+    self->co_choice = PyMem_Malloc((size_t)(nslots ? nslots : 1) * 4);
+    self->co_position = PyMem_Malloc((size_t)(n ? n : 1) * 4);
+    self->trail_cap = 256;
+    self->trail_len = 0;
+    self->trail_off = PyMem_RawMalloc((size_t)self->trail_cap * 8);
+    self->trail_old = PyMem_RawMalloc((size_t)self->trail_cap * 8);
+    if (!self->reach || !self->rf_choice || !self->co_choice ||
+        !self->co_position || !self->trail_off || !self->trail_old) {
+        PyMem_Free(self->reach);
+        self->reach = NULL; /* the problem stays "not initialised" */
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
+}
+
+/* 1 when the problem's tables are in place; else 0 with an exception set. */
+static int
+problem_ready(ProblemObject *self)
+{
+    if (self->reach == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Problem is not initialised");
+        return 0;
+    }
+    return 1;
+}
+
 static int
 Problem_init(ProblemObject *self, PyObject *args, PyObject *kwds)
 {
     int n, num_pairs, nloads, nplan, nslots;
     PyObject *plan_kind_b, *plan_arg_b, *co_count_b, *co_len_b, *co_off_b;
     PyObject *co_flat_b, *loads_b, *load_slot_b, *rf_off_b, *rf_flat_b;
-    PyObject *thread_of_b, *po_before_b;
+    PyObject *thread_of_b, *po_before_b, *pairs_b, *flags_b, *locid_b;
     int i;
 
     if (kwds != NULL && PyDict_Size(kwds) != 0) {
         PyErr_SetString(PyExc_TypeError, "Problem takes no keyword arguments");
         return -1;
     }
-    if (!PyArg_ParseTuple(args, "iiiiiSSSSSSSSSSSS", &n, &num_pairs, &nloads,
+    if (self->reach != NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Problem is already initialised");
+        return -1;
+    }
+    if (!PyArg_ParseTuple(args, "iiiiiSSSSSSSSSSSSSSS", &n, &num_pairs, &nloads,
                           &nplan, &nslots, &plan_kind_b, &plan_arg_b,
                           &co_count_b, &co_len_b, &co_off_b, &co_flat_b,
                           &loads_b, &load_slot_b, &rf_off_b, &rf_flat_b,
-                          &thread_of_b, &po_before_b))
+                          &thread_of_b, &po_before_b, &pairs_b, &flags_b,
+                          &locid_b))
         return -1;
     if (n < 0 || num_pairs < 0 || nloads < 0 || nplan < 0 || nslots < 0) {
         PyErr_SetString(PyExc_ValueError, "Problem: negative dimension");
@@ -201,6 +272,12 @@ Problem_init(ProblemObject *self, PyObject *args, PyObject *kwds)
     self->po_before = copy_bytes(po_before_b,
                                  (Py_ssize_t)n * self->nw * 8, "po_before");
     if (!self->po_before) return -1;
+    self->pairs = copy_bytes(pairs_b, (Py_ssize_t)num_pairs * 8, "pairs");
+    if (!self->pairs) return -1;
+    self->flags = copy_bytes(flags_b, n, "flags");
+    if (!self->flags) return -1;
+    self->locid = copy_bytes(locid_b, (Py_ssize_t)n * 4, "locid");
+    if (!self->locid) return -1;
 
     /* Validate every index the search will dereference: a bad buffer must
      * raise here, not corrupt memory later. */
@@ -243,21 +320,339 @@ Problem_init(ProblemObject *self, PyObject *args, PyObject *kwds)
             }
         }
     }
+    for (i = 0; i < num_pairs * 2; i++) {
+        if (self->pairs[i] < 0 || self->pairs[i] >= n) {
+            PyErr_SetString(PyExc_ValueError, "Problem: pair out of range");
+            return -1;
+        }
+    }
+    return problem_finish(self);
+}
 
-    self->reach = PyMem_Malloc((size_t)n * self->nw * 8 + 8);
-    self->rf_choice = PyMem_Malloc((size_t)(nloads ? nloads : 1) * 4);
-    self->co_choice = PyMem_Malloc((size_t)(nslots ? nslots : 1) * 4);
-    self->co_position = PyMem_Malloc((size_t)(n ? n : 1) * 4);
-    self->trail_cap = 256;
-    self->trail_len = 0;
-    self->trail_off = PyMem_RawMalloc((size_t)self->trail_cap * 8);
-    self->trail_old = PyMem_RawMalloc((size_t)self->trail_cap * 8);
-    if (!self->reach || !self->rf_choice || !self->co_choice ||
-        !self->co_position || !self->trail_off || !self->trail_old) {
-        PyErr_NoMemory();
+/* ------------------------------------------------------------------ */
+/* construction straight from enumeration items                        */
+/* ------------------------------------------------------------------ */
+
+/* Appends to a growable int32 buffer; 0 on allocation failure. */
+typedef struct {
+    int32_t *data;
+    int64_t len, cap;
+} IntBuf;
+
+static int
+ib_push(IntBuf *b, int32_t value)
+{
+    if (b->len == b->cap) {
+        int64_t cap = b->cap ? b->cap * 2 : 64;
+        int32_t *grown = PyMem_Realloc(b->data, (size_t)cap * 4);
+        if (grown == NULL)
+            return 0;
+        b->data = grown;
+        b->cap = cap;
+    }
+    b->data[b->len++] = value;
+    return 1;
+}
+
+/* Coherence-order generation for one location (IndexedExecution.
+ * _store_orders): the interleavings of the per-thread store chains, the
+ * ready chain heads tried in store order.  Events are thread-major, so
+ * store order among chain heads is thread order. */
+typedef struct {
+    int nthreads, total;
+    const int32_t *chain;   /* stores grouped by thread, in order */
+    const int *chain_off;   /* nthreads + 1 */
+    int *head;              /* per thread: next store in its chain */
+    int32_t *prefix;
+    IntBuf *out;
+    int32_t count;
+} CoGen;
+
+static int
+co_extend(CoGen *g, int depth)
+{
+    int t;
+    if (depth == g->total) {
+        int i;
+        for (i = 0; i < g->total; i++) {
+            if (!ib_push(g->out, g->prefix[i]))
+                return 0;
+        }
+        g->count++;
+        return 1;
+    }
+    for (t = 0; t < g->nthreads; t++) {
+        if (g->chain_off[t] + g->head[t] == g->chain_off[t + 1])
+            continue;
+        g->prefix[depth] = g->chain[g->chain_off[t] + g->head[t]];
+        g->head[t]++;
+        if (!co_extend(g, depth + 1))
+            return 0;
+        g->head[t]--;
+    }
+    return 1;
+}
+
+static int64_t
+item_int(PyObject *item, Py_ssize_t index)
+{
+    PyObject *value = PyTuple_GET_ITEM(item, index);
+    if (!PyLong_Check(value)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "Problem.from_items: locations and values must be ints");
         return -1;
     }
-    return 0;
+    return (int64_t)PyLong_AsLongLong(value);
+}
+
+/* Problem.from_items(items): the problem repro.native.problem flattens out
+ * of the IndexedExecution of test_from_items(items, name), built from the
+ * item tuples directly.  Every table follows the IndexedExecution constructions
+ * it replaces: events thread-major, locations in first-use order, read-from
+ * candidates INITIAL first (initial value 0) then matching stores in event
+ * order, coherence slots and the plan in location order.  The differential
+ * suite (tests/native/test_items_problem.py) holds the buffers equal. */
+static PyObject *
+Problem_from_items(PyTypeObject *type, PyObject *items)
+{
+    PyObject *threads = NULL, *result = NULL;
+    ProblemObject *self = NULL;
+    Py_ssize_t nthreads, t;
+    int n = 0, i, j, e, nlocs = 0, nloads = 0, nslots = 0, nplan = 0;
+    int *tstart = NULL, *slot_of = NULL, *chain_off = NULL, *head = NULL;
+    int8_t *kind = NULL;
+    int64_t *value = NULL, *locvals = NULL;
+    int32_t *chain = NULL, *prefix = NULL;
+    IntBuf rf = {NULL, 0, 0}, co = {NULL, 0, 0};
+
+    threads = PySequence_Fast(items, "Problem.from_items: items must be a sequence");
+    if (threads == NULL)
+        return NULL;
+    nthreads = PySequence_Fast_GET_SIZE(threads);
+    tstart = PyMem_Malloc((size_t)(nthreads + 1) * sizeof(int));
+    if (tstart == NULL)
+        goto nomem;
+    for (t = 0; t < nthreads; t++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(threads, t);
+        if (!PyTuple_Check(row)) {
+            PyErr_SetString(PyExc_TypeError, "Problem.from_items: a thread must be a tuple");
+            goto done;
+        }
+        tstart[t] = n;
+        n += (int)PyTuple_GET_SIZE(row);
+    }
+    tstart[nthreads] = n;
+
+    self = (ProblemObject *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        goto done;
+    self->n = n;
+    self->nw = n > 0 ? (n + 63) >> 6 : 1;
+    kind = PyMem_Malloc((size_t)(n ? n : 1));
+    value = PyMem_Malloc((size_t)(n ? n : 1) * 8);
+    locvals = PyMem_Malloc((size_t)(n ? n : 1) * 8);
+    self->thread_of = PyMem_Malloc((size_t)(n ? n : 1) * 4);
+    self->flags = PyMem_Malloc((size_t)(n ? n : 1));
+    self->locid = PyMem_Malloc((size_t)(n ? n : 1) * 4);
+    self->po_before = PyMem_Calloc((size_t)n * self->nw + 1, 8);
+    if (!kind || !value || !locvals || !self->thread_of || !self->flags ||
+        !self->locid || !self->po_before)
+        goto nomem;
+
+    /* Events: kind, location (first-use index), value, thread, flags,
+     * program order. */
+    for (t = 0, i = 0; t < nthreads; t++) {
+        PyObject *row = PySequence_Fast_GET_ITEM(threads, t);
+        for (e = 0; e < tstart[t + 1] - tstart[t]; e++, i++) {
+            PyObject *item = PyTuple_GET_ITEM(row, e), *tag;
+            Py_UCS4 ch = 0;
+            if (PyTuple_Check(item) && PyTuple_GET_SIZE(item) == 3) {
+                tag = PyTuple_GET_ITEM(item, 0);
+                if (PyUnicode_Check(tag) && PyUnicode_GET_LENGTH(tag) == 1)
+                    ch = PyUnicode_READ_CHAR(tag, 0);
+            }
+            if (ch != 'R' && ch != 'W' && ch != 'F') {
+                PyErr_SetString(PyExc_ValueError, "Problem.from_items: malformed item");
+                goto done;
+            }
+            self->thread_of[i] = (int32_t)t;
+            for (j = tstart[t]; j < i; j++)
+                self->po_before[(size_t)i * self->nw + (j >> 6)] |= (uint64_t)1 << (j & 63);
+            if (ch == 'F') {
+                kind[i] = PF_F;
+                self->flags[i] = 4;
+                self->locid[i] = -1;
+                continue;
+            }
+            {
+                int64_t loc = item_int(item, 1), val;
+                if (loc == -1 && PyErr_Occurred())
+                    goto done;
+                val = item_int(item, 2);
+                if (val == -1 && PyErr_Occurred())
+                    goto done;
+                for (j = 0; j < nlocs && locvals[j] != loc; j++)
+                    ;
+                if (j == nlocs)
+                    locvals[nlocs++] = loc;
+                kind[i] = ch == 'R' ? PF_R : PF_W;
+                self->flags[i] = ch == 'R' ? (1 | 8) : (2 | 8);
+                self->locid[i] = j;
+                value[i] = val;
+                if (ch == 'R')
+                    nloads++;
+            }
+        }
+    }
+
+    /* Same-thread program-order pairs, thread by thread. */
+    for (t = 0; t < nthreads; t++) {
+        int len = tstart[t + 1] - tstart[t];
+        self->num_pairs += len * (len - 1) / 2;
+    }
+    self->pw = self->num_pairs > 0 ? (self->num_pairs + 63) >> 6 : 1;
+    self->pairs = PyMem_Malloc((size_t)(self->num_pairs ? self->num_pairs : 1) * 8);
+    if (self->pairs == NULL)
+        goto nomem;
+    for (t = 0, j = 0; t < nthreads; t++) {
+        int u, v;
+        for (u = tstart[t]; u < tstart[t + 1]; u++) {
+            for (v = u + 1; v < tstart[t + 1]; v++) {
+                self->pairs[j++] = u;
+                self->pairs[j++] = v;
+            }
+        }
+    }
+
+    /* Loads and their read-from candidates. */
+    self->nloads = nloads;
+    self->loads = PyMem_Malloc((size_t)(nloads ? nloads : 1) * 4);
+    self->load_slot = PyMem_Malloc((size_t)(nloads ? nloads : 1) * 4);
+    self->rf_off = PyMem_Malloc((size_t)(nloads + 1) * 4);
+    if (!self->loads || !self->load_slot || !self->rf_off)
+        goto nomem;
+    for (i = 0, j = 0; i < n; i++) {
+        int s;
+        if (kind[i] != PF_R)
+            continue;
+        self->loads[j] = i;
+        self->rf_off[j] = (int32_t)rf.len;
+        if (value[i] == 0 && !ib_push(&rf, RF_INITIAL))
+            goto nomem;
+        for (s = 0; s < n; s++) {
+            if (kind[s] == PF_W && self->locid[s] == self->locid[i] &&
+                value[s] == value[i] &&
+                !(self->thread_of[s] == self->thread_of[i] && s > i) &&
+                !ib_push(&rf, s))
+                goto nomem;
+        }
+        j++;
+    }
+    self->rf_off[nloads] = (int32_t)rf.len;
+    self->rf_flat = rf.data ? rf.data : PyMem_Malloc(4);
+    rf.data = NULL;
+    if (self->rf_flat == NULL)
+        goto nomem;
+    for (i = 0; i < nloads; i++) {
+        if (self->rf_off[i] == self->rf_off[i + 1])
+            self->infeasible = 1;
+    }
+
+    /* Coherence slots (locations with stores, first-use order), their
+     * store orders (none at all when infeasible), and the plan. */
+    slot_of = PyMem_Malloc((size_t)(nlocs ? nlocs : 1) * sizeof(int));
+    chain = PyMem_Malloc((size_t)(n ? n : 1) * 4);
+    prefix = PyMem_Malloc((size_t)(n ? n : 1) * 4);
+    chain_off = PyMem_Malloc((size_t)(nthreads + 1) * sizeof(int));
+    head = PyMem_Calloc((size_t)(nthreads ? nthreads : 1), sizeof(int));
+    self->co_count = PyMem_Malloc((size_t)(nlocs ? nlocs : 1) * 4);
+    self->co_len = PyMem_Malloc((size_t)(nlocs ? nlocs : 1) * 4);
+    self->co_off = PyMem_Malloc((size_t)(nlocs ? nlocs : 1) * 8);
+    self->plan_kind = PyMem_Malloc((size_t)(nlocs + nloads + 1));
+    self->plan_arg = PyMem_Malloc((size_t)(nlocs + nloads + 1) * 4);
+    if (!slot_of || !chain || !prefix || !chain_off || !head || !self->co_count ||
+        !self->co_len || !self->co_off || !self->plan_kind || !self->plan_arg)
+        goto nomem;
+    for (j = 0; j < nlocs; j++) {
+        int nstores = 0;
+        for (i = 0; i < n; i++) {
+            if (kind[i] == PF_W && self->locid[i] == j)
+                nstores++;
+        }
+        if (nstores == 0) {
+            slot_of[j] = -1;
+            continue;
+        }
+        slot_of[j] = nslots;
+        self->co_off[nslots] = co.len;
+        if (self->infeasible) {
+            self->co_count[nslots] = 0;
+            self->co_len[nslots] = 0;
+        } else {
+            CoGen gen;
+            int k = 0;
+            for (t = 0; t < nthreads; t++) {
+                chain_off[t] = k;
+                head[t] = 0;
+                for (i = tstart[t]; i < tstart[t + 1]; i++) {
+                    if (kind[i] == PF_W && self->locid[i] == j)
+                        chain[k++] = i;
+                }
+            }
+            chain_off[nthreads] = k;
+            gen.nthreads = (int)nthreads;
+            gen.total = nstores;
+            gen.chain = chain;
+            gen.chain_off = chain_off;
+            gen.head = head;
+            gen.prefix = prefix;
+            gen.out = &co;
+            gen.count = 0;
+            if (!co_extend(&gen, 0))
+                goto nomem;
+            self->co_count[nslots] = gen.count;
+            self->co_len[nslots] = nstores;
+        }
+        self->plan_kind[nplan] = 0;
+        self->plan_arg[nplan++] = nslots;
+        for (i = 0; i < nloads; i++) {
+            if (self->locid[self->loads[i]] == j) {
+                self->plan_kind[nplan] = 1;
+                self->plan_arg[nplan++] = i;
+            }
+        }
+        nslots++;
+    }
+    for (i = 0; i < nloads; i++)
+        self->load_slot[i] = slot_of[self->locid[self->loads[i]]];
+    self->nslots = nslots;
+    self->nplan = nplan;
+    self->co_flat_len = co.len;
+    self->co_flat = co.data ? co.data : PyMem_Malloc(4);
+    co.data = NULL;
+    if (self->co_flat == NULL || problem_finish(self) < 0)
+        goto done;
+    result = (PyObject *)self;
+    self = NULL;
+    goto done;
+
+nomem:
+    PyErr_NoMemory();
+done:
+    Py_XDECREF(self);
+    Py_DECREF(threads);
+    PyMem_Free(tstart);
+    PyMem_Free(kind);
+    PyMem_Free(value);
+    PyMem_Free(locvals);
+    PyMem_Free(slot_of);
+    PyMem_Free(chain);
+    PyMem_Free(prefix);
+    PyMem_Free(chain_off);
+    PyMem_Free(head);
+    PyMem_Free(rf.data);
+    PyMem_Free(co.data);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -426,6 +821,35 @@ do_search(ProblemObject *p, int depth)
     }
 }
 
+/* Reset the search state, insert the forced program-order edges (the
+ * int32 pairs of `edges`, or the pairs whose bit is set in the `mask`
+ * words), and search.  1 = witness, 0 = none, -1 = allocation failure. */
+static int
+run_search(ProblemObject *self, const int32_t *edges, Py_ssize_t nedges,
+           const uint64_t *mask)
+{
+    Py_ssize_t e;
+    int i, found = 1;
+
+    if (self->infeasible)
+        return 0;
+    memset(self->reach, 0, (size_t)self->n * self->nw * 8);
+    self->trail_len = 0;
+    for (i = 0; i < self->nloads; i++)
+        self->rf_choice[i] = RF_INITIAL;
+    if (mask != NULL) {
+        for (i = 0; i < self->num_pairs && found == 1; i++) {
+            if ((mask[i >> 6] >> (i & 63)) & 1)
+                found = add_edge(self, self->pairs[i * 2], self->pairs[i * 2 + 1]);
+        }
+    } else {
+        for (e = 0; e < nedges && found == 1; e++)
+            found = add_edge(self, edges[e * 2], edges[e * 2 + 1]);
+    }
+    /* found == 0 here: program order alone is cyclic (unreachable) */
+    return found == 1 ? do_search(self, 0) : found;
+}
+
 static PyObject *
 Problem_search(ProblemObject *self, PyObject *args)
 {
@@ -434,10 +858,10 @@ Problem_search(ProblemObject *self, PyObject *args)
     Py_ssize_t edges_size;
     const int32_t *edges;
     Py_ssize_t nedges, e;
-    int found = 1;
+    int found;
     int i;
 
-    if (!PyArg_ParseTuple(args, "S", &edges_b))
+    if (!problem_ready(self) || !PyArg_ParseTuple(args, "S", &edges_b))
         return NULL;
     if (PyBytes_AsStringAndSize(edges_b, &edges_data, &edges_size) < 0)
         return NULL;
@@ -455,21 +879,8 @@ Problem_search(ProblemObject *self, PyObject *args)
         }
     }
 
-    memset(self->reach, 0, (size_t)self->n * self->nw * 8);
-    self->trail_len = 0;
-    for (i = 0; i < self->nloads; i++)
-        self->rf_choice[i] = RF_INITIAL;
-
     Py_BEGIN_ALLOW_THREADS
-    for (e = 0; e < nedges; e++) {
-        int inserted = add_edge(self, edges[e * 2], edges[e * 2 + 1]);
-        if (inserted != 1) {
-            found = inserted; /* 0: po alone is cyclic (unreachable) */
-            break;
-        }
-    }
-    if (found == 1)
-        found = do_search(self, 0);
+    found = run_search(self, edges, nedges, NULL);
     Py_END_ALLOW_THREADS
 
     if (found < 0)
@@ -510,32 +921,73 @@ Problem_search(ProblemObject *self, PyObject *args)
     }
 }
 
+/* allowed(mask_bytes): whether some execution honours the po pairs set in
+ * the pw-word mask -- the search without its witness. */
+static PyObject *
+Problem_allowed(ProblemObject *self, PyObject *mask_b)
+{
+    char *data;
+    Py_ssize_t size;
+    int found;
+
+    if (!problem_ready(self) || PyBytes_AsStringAndSize(mask_b, &data, &size) < 0)
+        return NULL;
+    if (size != (Py_ssize_t)self->pw * 8) {
+        PyErr_SetString(PyExc_ValueError, "allowed: expected pw words of mask");
+        return NULL;
+    }
+    found = run_search(self, NULL, 0, (const uint64_t *)data);
+    if (found < 0)
+        return PyErr_NoMemory();
+    return PyBool_FromLong(found);
+}
+
 /* ------------------------------------------------------------------ */
 /* flattened mask-program evaluation                                   */
 /* ------------------------------------------------------------------ */
 
+/* A pw-word little-endian mask as a Python int. */
+static PyObject *
+words_to_long(const uint64_t *words, int pw)
+{
+    PyObject *result, *shift;
+    int k;
+    if (pw == 1)
+        return PyLong_FromUnsignedLongLong(words[0]);
+    shift = PyLong_FromLong(64);
+    result = PyLong_FromUnsignedLongLong(words[pw - 1]);
+    for (k = pw - 2; k >= 0 && result != NULL && shift != NULL; k--) {
+        PyObject *word = PyLong_FromUnsignedLongLong(words[k]);
+        PyObject *shifted = word ? PyNumber_Lshift(result, shift) : NULL;
+        Py_DECREF(result);
+        result = shifted ? PyNumber_Or(shifted, word) : NULL;
+        Py_XDECREF(shifted);
+        Py_XDECREF(word);
+    }
+    if (shift == NULL)
+        Py_CLEAR(result);
+    Py_XDECREF(shift);
+    return result;
+}
+
 static PyObject *
 Problem_eval_program(ProblemObject *self, PyObject *args)
 {
-    PyObject *codes_b, *atoms_seq, *atoms = NULL, *result = NULL;
-    PyObject *outputs_b = NULL;
+    PyObject *result = NULL;
     int num_instructions;
-    char *codes_data;
-    Py_ssize_t codes_size, natoms, a;
-    const int32_t *codes;
-    const int32_t *outputs = NULL;
-    Py_ssize_t noutputs = 0;
+    const char *codes_data, *atoms_data, *outputs_data;
+    Py_ssize_t codes_size, atoms_size, outputs_size, natoms, noutputs, a;
+    const int32_t *codes, *outputs;
+    const uint64_t *atom_words;
     int64_t ncodes, position;
     const int pw = self->pw;
     uint64_t tail_last;
     uint64_t *registers = NULL;
-    const uint64_t **atom_words = NULL;
     int r, k;
 
-    if (!PyArg_ParseTuple(args, "SiO|S", &codes_b, &num_instructions, &atoms_seq,
-                          &outputs_b))
-        return NULL;
-    if (PyBytes_AsStringAndSize(codes_b, &codes_data, &codes_size) < 0)
+    if (!problem_ready(self) ||
+        !PyArg_ParseTuple(args, "y#iy#y#", &codes_data, &codes_size, &num_instructions,
+                          &atoms_data, &atoms_size, &outputs_data, &outputs_size))
         return NULL;
     if (codes_size % 4 != 0 || num_instructions < 1) {
         PyErr_SetString(PyExc_ValueError, "eval_program: bad code buffer");
@@ -543,48 +995,28 @@ Problem_eval_program(ProblemObject *self, PyObject *args)
     }
     codes = (const int32_t *)codes_data;
     ncodes = codes_size / 4;
-    if (outputs_b != NULL) {
-        char *outputs_data;
-        Py_ssize_t outputs_size;
-        if (PyBytes_AsStringAndSize(outputs_b, &outputs_data, &outputs_size) < 0)
-            return NULL;
-        if (outputs_size % 4 != 0 || outputs_size == 0) {
-            PyErr_SetString(PyExc_ValueError, "eval_program: bad output buffer");
-            return NULL;
-        }
-        outputs = (const int32_t *)outputs_data;
-        noutputs = outputs_size / 4;
-        for (a = 0; a < noutputs; a++) {
-            if (outputs[a] < 0 || outputs[a] >= num_instructions) {
-                PyErr_SetString(PyExc_ValueError,
-                                "eval_program: output register out of range");
-                return NULL;
-            }
-        }
-    }
-
-    atoms = PySequence_Fast(atoms_seq, "eval_program: atoms must be a sequence");
-    if (atoms == NULL)
+    if (atoms_size % ((Py_ssize_t)pw * 8) != 0) {
+        PyErr_SetString(PyExc_ValueError, "eval_program: bad atom buffer");
         return NULL;
-    natoms = PySequence_Fast_GET_SIZE(atoms);
-    atom_words = PyMem_Malloc((size_t)(natoms ? natoms : 1) * sizeof(uint64_t *));
-    registers = PyMem_Malloc((size_t)num_instructions * pw * 8);
-    if (atom_words == NULL || registers == NULL) {
-        PyErr_NoMemory();
-        goto done;
     }
-    for (a = 0; a < natoms; a++) {
-        PyObject *item = PySequence_Fast_GET_ITEM(atoms, a);
-        char *data;
-        Py_ssize_t size;
-        if (PyBytes_AsStringAndSize(item, &data, &size) < 0)
-            goto done;
-        if (size != (Py_ssize_t)pw * 8) {
-            PyErr_SetString(PyExc_ValueError, "eval_program: bad atom buffer");
-            goto done;
+    atom_words = (const uint64_t *)atoms_data;
+    natoms = atoms_size / ((Py_ssize_t)pw * 8);
+    if (outputs_size % 4 != 0 || outputs_size == 0) {
+        PyErr_SetString(PyExc_ValueError, "eval_program: bad output buffer");
+        return NULL;
+    }
+    outputs = (const int32_t *)outputs_data;
+    noutputs = outputs_size / 4;
+    for (a = 0; a < noutputs; a++) {
+        if (outputs[a] < 0 || outputs[a] >= num_instructions) {
+            PyErr_SetString(PyExc_ValueError,
+                            "eval_program: output register out of range");
+            return NULL;
         }
-        atom_words[a] = (const uint64_t *)data;
     }
+    registers = PyMem_Malloc((size_t)num_instructions * pw * 8);
+    if (registers == NULL)
+        return PyErr_NoMemory();
 
     /* All-ones over num_pairs bits: words 0..pw-2 are always full, the
      * last word is partial (or empty when num_pairs == 0). */
@@ -598,6 +1030,7 @@ Problem_eval_program(ProblemObject *self, PyObject *args)
     position = 0;
     for (r = 0; r < num_instructions; r++) {
         uint64_t *reg = registers + (size_t)r * pw;
+        const uint64_t *atom;
         int op, operand;
         if (position + 2 > ncodes)
             goto truncated;
@@ -620,13 +1053,14 @@ Problem_eval_program(ProblemObject *self, PyObject *args)
                                 "eval_program: atom index out of range");
                 goto done;
             }
+            atom = atom_words + (size_t)operand * pw;
             if (op == OP_ATOM) {
-                memcpy(reg, atom_words[operand], (size_t)pw * 8);
+                memcpy(reg, atom, (size_t)pw * 8);
             } else {
                 /* complement stays inside the pair universe */
                 for (k = 0; k < pw - 1; k++)
-                    reg[k] = ~atom_words[operand][k];
-                reg[pw - 1] = ~atom_words[operand][pw - 1] & tail_last;
+                    reg[k] = ~atom[k];
+                reg[pw - 1] = ~atom[pw - 1] & tail_last;
             }
             break;
         case OP_AND:
@@ -665,19 +1099,17 @@ Problem_eval_program(ProblemObject *self, PyObject *args)
             goto done;
         }
     }
-    if (outputs == NULL) {
-        result = PyBytes_FromStringAndSize(
-            (const char *)(registers + (size_t)(num_instructions - 1) * pw),
-            (Py_ssize_t)pw * 8);
-    } else {
-        /* concatenate the requested output registers, in request order */
-        result = PyBytes_FromStringAndSize(NULL, noutputs * (Py_ssize_t)pw * 8);
-        if (result != NULL) {
-            char *out = PyBytes_AS_STRING(result);
-            for (a = 0; a < noutputs; a++)
-                memcpy(out + (size_t)a * pw * 8,
-                       registers + (size_t)outputs[a] * pw, (size_t)pw * 8);
+    /* the requested output registers, in request order, as ints */
+    result = PyList_New(noutputs);
+    if (result == NULL)
+        goto done;
+    for (a = 0; a < noutputs; a++) {
+        PyObject *mask = words_to_long(registers + (size_t)outputs[a] * pw, pw);
+        if (mask == NULL) {
+            Py_CLEAR(result);
+            goto done;
         }
+        PyList_SET_ITEM(result, a, mask);
     }
     goto done;
 
@@ -685,8 +1117,6 @@ truncated:
     PyErr_SetString(PyExc_ValueError, "eval_program: truncated code buffer");
 done:
     PyMem_Free(registers);
-    PyMem_Free(atom_words);
-    Py_XDECREF(atoms);
     return result;
 }
 
@@ -775,59 +1205,39 @@ kernelmod_bench_reach(PyObject *module, PyObject *args)
 }
 
 /* ------------------------------------------------------------------ */
-/* batched builtin atom masks                                          */
+/* batched builtin atom masks, and the tables for inspection         */
 /* ------------------------------------------------------------------ */
 
 /* Spec codes: one int32 triple (code, a, b) per requested atom.
  * code 0 -- event trait: a = flag bit (0 read, 1 write, 2 fence,
  *           3 memory access), b = pair side (0 = u, 1 = v).
  * code 1 -- same address: a, b = pair sides for the two operands.
+ * code 2 -- no builtin encoding: an all-zero row the caller fills in.
  */
 static PyObject *
-kernelmod_atom_masks(PyObject *module, PyObject *args)
+Problem_atom_masks(ProblemObject *self, PyObject *specs_b)
 {
-    int num_events, num_pairs, pw;
-    PyObject *pairs_b, *flags_b, *locid_b, *specs_b;
-    char *pairs_data, *flags_data, *locid_data, *specs_data;
-    Py_ssize_t pairs_size, flags_size, locid_size, specs_size;
-    const int32_t *pairs, *locid, *specs;
-    const uint8_t *flags;
-    Py_ssize_t num_specs, s;
+    char *specs_data;
+    Py_ssize_t specs_size, num_specs, s;
+    const int32_t *specs;
+    const int32_t *pairs = self->pairs, *locid = self->locid;
+    const uint8_t *flags = self->flags;
+    const int pw = self->pw, num_pairs = self->num_pairs;
     PyObject *result;
     uint64_t *out;
     int p;
 
-    if (!PyArg_ParseTuple(args, "iiiSSSS", &num_events, &num_pairs, &pw,
-                          &pairs_b, &flags_b, &locid_b, &specs_b))
+    if (!problem_ready(self) || PyBytes_AsStringAndSize(specs_b, &specs_data, &specs_size) < 0)
         return NULL;
-    if (PyBytes_AsStringAndSize(pairs_b, &pairs_data, &pairs_size) < 0 ||
-        PyBytes_AsStringAndSize(flags_b, &flags_data, &flags_size) < 0 ||
-        PyBytes_AsStringAndSize(locid_b, &locid_data, &locid_size) < 0 ||
-        PyBytes_AsStringAndSize(specs_b, &specs_data, &specs_size) < 0)
-        return NULL;
-    if (num_events < 0 || num_pairs < 0 || pw < 1 ||
-        (Py_ssize_t)num_pairs > (Py_ssize_t)pw * 64 ||
-        pairs_size != (Py_ssize_t)num_pairs * 8 ||
-        flags_size != (Py_ssize_t)num_events ||
-        locid_size != (Py_ssize_t)num_events * 4 ||
-        specs_size % 12 != 0) {
-        PyErr_SetString(PyExc_ValueError, "atom_masks: inconsistent buffers");
+    if (specs_size % 12 != 0) {
+        PyErr_SetString(PyExc_ValueError, "atom_masks: bad spec buffer");
         return NULL;
     }
-    pairs = (const int32_t *)pairs_data;
-    flags = (const uint8_t *)flags_data;
-    locid = (const int32_t *)locid_data;
     specs = (const int32_t *)specs_data;
     num_specs = specs_size / 12;
-    for (p = 0; p < num_pairs * 2; p++) {
-        if (pairs[p] < 0 || pairs[p] >= num_events) {
-            PyErr_SetString(PyExc_ValueError, "atom_masks: pair out of range");
-            return NULL;
-        }
-    }
     for (s = 0; s < num_specs; s++) {
         int code = specs[s * 3], a = specs[s * 3 + 1], b = specs[s * 3 + 2];
-        if (code < 0 || code > 1 || a < 0 || b < 0 || b > 1 ||
+        if (code < 0 || code > 2 || a < 0 || b < 0 || b > 1 ||
             (code == 0 && a > 3) || (code == 1 && a > 1)) {
             PyErr_SetString(PyExc_ValueError, "atom_masks: bad spec");
             return NULL;
@@ -848,7 +1258,7 @@ kernelmod_atom_masks(PyObject *module, PyObject *args)
                 if ((flags[ev] >> a) & 1)
                     row[p >> 6] |= (uint64_t)1 << (p & 63);
             }
-        } else {
+        } else if (code == 1) {
             for (p = 0; p < num_pairs; p++) {
                 int la = locid[pairs[p * 2 + a]];
                 if (la >= 0 && la == locid[pairs[p * 2 + b]])
@@ -857,6 +1267,35 @@ kernelmod_atom_masks(PyObject *module, PyObject *args)
         }
     }
     return result;
+}
+
+/* fields(): every table of the problem as bytes, plus its dimensions --
+ * what the differential suite compares between construction paths. */
+static PyObject *
+Problem_fields(ProblemObject *self, PyObject *unused)
+{
+    if (!problem_ready(self))
+        return NULL;
+    return Py_BuildValue(
+        "{s:i,s:i,s:i,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,s:y#,"
+        "s:y#,s:y#,s:y#,s:y#,s:y#}",
+        "n", self->n, "num_pairs", self->num_pairs, "infeasible", self->infeasible,
+        "plan_kind", (const char *)self->plan_kind, (Py_ssize_t)self->nplan,
+        "plan_arg", (const char *)self->plan_arg, (Py_ssize_t)self->nplan * 4,
+        "co_count", (const char *)self->co_count, (Py_ssize_t)self->nslots * 4,
+        "co_len", (const char *)self->co_len, (Py_ssize_t)self->nslots * 4,
+        "co_off", (const char *)self->co_off, (Py_ssize_t)self->nslots * 8,
+        "co_flat", (const char *)self->co_flat, (Py_ssize_t)self->co_flat_len * 4,
+        "loads", (const char *)self->loads, (Py_ssize_t)self->nloads * 4,
+        "load_slot", (const char *)self->load_slot, (Py_ssize_t)self->nloads * 4,
+        "rf_off", (const char *)self->rf_off, (Py_ssize_t)(self->nloads + 1) * 4,
+        "rf_flat", (const char *)self->rf_flat,
+        (Py_ssize_t)self->rf_off[self->nloads] * 4,
+        "thread_of", (const char *)self->thread_of, (Py_ssize_t)self->n * 4,
+        "po_before", (const char *)self->po_before, (Py_ssize_t)self->n * self->nw * 8,
+        "pairs", (const char *)self->pairs, (Py_ssize_t)self->num_pairs * 8,
+        "flags", (const char *)self->flags, (Py_ssize_t)self->n,
+        "locid", (const char *)self->locid, (Py_ssize_t)self->n * 4);
 }
 
 /* ------------------------------------------------------------------ */
@@ -888,9 +1327,6 @@ kernelmod_atom_masks(PyObject *module, PyObject *args)
 #define PF_MAXT 8      /* threads per test */
 #define PF_MAXLOC 16   /* locations */
 #define PF_MAXVAL 64   /* values per location (a uint64 set) */
-#define PF_R 0
-#define PF_W 1
-#define PF_F 2
 
 /* byte string -> dense id (plus one int32 value per id, -1 until set),
  * open addressing over one key arena */
@@ -1907,13 +2343,34 @@ Profiler_profile(ProfilerObject *self, PyObject *args)
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef Problem_methods[] = {
+    {"from_items", (PyCFunction)Problem_from_items, METH_O | METH_CLASS,
+     "from_items(items) -> the Problem of an enumerated test, built from its\n"
+     "abstract item tuples (one per thread of (kind, location, value))"},
     {"search", (PyCFunction)Problem_search, METH_VARARGS,
      "search(po_edges_bytes) -> None | (rf_tuple, co_choice_tuple)"},
+    {"allowed", (PyCFunction)Problem_allowed, METH_O,
+     "allowed(mask_bytes) -> whether some execution honours the po pairs\n"
+     "set in the pw-word little-endian mask"},
+    {"atom_masks", (PyCFunction)Problem_atom_masks, METH_O,
+     "atom_masks(specs_bytes) -> concatenated pw*8-byte builtin atom masks"},
+    {"fields", (PyCFunction)Problem_fields, METH_NOARGS,
+     "fields() -> dict of the problem's dimensions and tables (bytes)"},
     {"eval_program", (PyCFunction)Problem_eval_program, METH_VARARGS,
-     "eval_program(codes_bytes, num_instructions, atom_buffers[, outputs_bytes])\n"
-     "-> mask bytes (the last register, or the int32-indexed output\n"
-     "registers concatenated in request order)"},
+     "eval_program(codes_bytes, num_instructions, atoms_bytes, outputs_bytes)\n"
+     "-> the int32-indexed output registers' masks as ints, in request order;\n"
+     "atoms_bytes holds every atom's pw-word truth vector, in atom order"},
     {NULL, NULL, 0, NULL},
+};
+
+static PyMemberDef Problem_members[] = {
+    {"n", T_INT, offsetof(ProblemObject, n), READONLY, "events"},
+    {"nw", T_INT, offsetof(ProblemObject, nw), READONLY, "words per event bitset"},
+    {"num_pairs", T_INT, offsetof(ProblemObject, num_pairs), READONLY,
+     "same-thread program-order pairs"},
+    {"pw", T_INT, offsetof(ProblemObject, pw), READONLY, "words per pair mask"},
+    {"infeasible", T_BOOL, offsetof(ProblemObject, infeasible), READONLY,
+     "some load has no read-from candidate"},
+    {NULL, 0, 0, 0, NULL},
 };
 
 static PyTypeObject ProblemType = {
@@ -1924,6 +2381,7 @@ static PyTypeObject ProblemType = {
     .tp_flags = Py_TPFLAGS_DEFAULT,
     .tp_doc = "A flattened kernel search problem over word buffers.",
     .tp_methods = Problem_methods,
+    .tp_members = Problem_members,
     .tp_init = (initproc)Problem_init,
     .tp_new = PyType_GenericNew,
 };
@@ -1955,9 +2413,6 @@ static PyTypeObject ProfilerType = {
 static PyMethodDef kernelmod_methods[] = {
     {"bench_reach", kernelmod_bench_reach, METH_VARARGS,
      "bench_reach(n, edges_bytes, rounds) -> checksum (add/undo micro-bench)"},
-    {"atom_masks", kernelmod_atom_masks, METH_VARARGS,
-     "atom_masks(num_events, num_pairs, pw, pairs_bytes, flags_bytes,\n"
-     "locid_bytes, specs_bytes) -> concatenated pw*8-byte truth masks"},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,10 +1,12 @@
 """Pluggable kernel backends and their selection policy.
 
-A :class:`KernelBackend` answers the two kernel-level questions the explicit
-strategy asks: run the decide/propagate/undo search for one po-edge set
-(:meth:`~KernelBackend.search`, returning the witness or None), and
-evaluate a column of compiled models' po-pair masks over an execution
-(:meth:`~KernelBackend.po_pair_masks`).  Two implementations:
+A :class:`KernelBackend` answers the kernel-level questions the explicit
+strategy asks: evaluate a column of compiled models' po-pair masks over a
+test (:meth:`~KernelBackend.po_pair_masks`), and decide whether some
+execution honours one forced po-pair mask (:meth:`~KernelBackend.allowed`,
+a bool).  :meth:`~KernelBackend.search` runs the same decide/propagate/undo
+search for an edge list and returns the witness, for the consumers that
+need one.  Two implementations:
 
 * ``bigint`` — the original Python-int kernel of
   :mod:`repro.checker.kernel` and the closure lowering of
@@ -29,11 +31,14 @@ pipeline workers — never per check.
 from __future__ import annotations
 
 import os
+from array import array
+from itertools import chain
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.checker.kernel import IndexedExecution, KernelSearch, KernelWitness
 from repro.native.flatprog import flat_program_multi
-from repro.native.problem import kernel_problem
+from repro.native.problem import KernelProblem, kernel_problem
 
 #: Environment variable consulted by ``auto`` kernel resolution.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -64,7 +69,14 @@ def native_import_error() -> Optional[str]:
 
 
 class KernelBackend:
-    """Interface the explicit strategy drives; see the module docstring."""
+    """Interface the explicit strategy drives; see the module docstring.
+
+    :meth:`allowed` and :meth:`po_pair_masks` take a test's *candidate
+    space*: an :class:`~repro.checker.kernel.IndexedExecution`, or — native
+    only — a :class:`~repro.native.problem.KernelProblem` built straight
+    from enumeration items (:meth:`~repro.engine.context.TestContext.
+    candidate_space`).
+    """
 
     name: str = ""
     #: True for the C-extension backend; drives the native/fallback counters.
@@ -76,13 +88,12 @@ class KernelBackend:
         """Run the kernel search; the witness found, or None."""
         raise NotImplementedError
 
-    def allowed(
-        self, indexed: IndexedExecution, po_edges: Sequence[Tuple[int, int]]
-    ) -> bool:
-        """Decide admissibility for a model's program-order edges."""
-        return self.search(indexed, po_edges) is not None
+    def allowed(self, space, mask: int) -> bool:
+        """Whether some execution honours the po pairs set in ``mask``
+        (a bitmask over the space's ``po_pairs``); no witness is built."""
+        raise NotImplementedError
 
-    def po_pair_masks(self, indexed: IndexedExecution, compiled_list) -> List[int]:
+    def po_pair_masks(self, space, compiled_list) -> List[int]:
         """Evaluate a model column's po-pair truth vectors (int masks)."""
         raise NotImplementedError
 
@@ -95,8 +106,20 @@ class BigintKernelBackend(KernelBackend):
     def search(self, indexed, po_edges):
         return KernelSearch(indexed, po_edges).run()
 
+    def allowed(self, indexed, mask):
+        pairs = [pair for p, pair in enumerate(indexed.po_pairs) if (mask >> p) & 1]
+        return KernelSearch(indexed, pairs).run() is not None
+
     def po_pair_masks(self, indexed, compiled_list):
         return [compiled.mask_program(indexed) for compiled in compiled_list]
+
+
+_ROOT = attrgetter("root")
+
+
+def _problem(space) -> KernelProblem:
+    """The native problem of a candidate space (built once per execution)."""
+    return space if type(space) is KernelProblem else kernel_problem(space)
 
 
 class NativeKernelBackend(KernelBackend):
@@ -106,31 +129,29 @@ class NativeKernelBackend(KernelBackend):
     is_native = True
 
     def search(self, indexed, po_edges):
-        if indexed.infeasible:
-            return None
         problem = kernel_problem(indexed)
-        result = problem.native().search(problem.edges_to_bytes(po_edges))
+        result = problem.native.search(array("i", chain.from_iterable(po_edges)).tobytes())
         if result is None:
             return None
         return problem.witness(result[0], result[1])
 
-    def po_pair_masks(self, indexed, compiled_list):
+    def allowed(self, space, mask):
+        problem = _problem(space)
+        return problem.native.allowed(mask.to_bytes(problem.pw * 8, "little"))
+
+    def po_pair_masks(self, space, compiled_list):
         # One combined program for the column: registers are shared across
         # models through the hash-consed node ids, evaluated in one pass.
         if not compiled_list:
             return []
-        program = flat_program_multi([compiled.root for compiled in compiled_list])
-        problem = kernel_problem(indexed)
-        atoms: List[bytes] = problem.atom_words_list(program.atoms)
-        out = problem.native().eval_program(
-            program.codes_bytes, program.num_instructions, atoms, program.outputs_bytes
+        program = flat_program_multi(list(map(_ROOT, compiled_list)))
+        problem = _problem(space)
+        return problem.native.eval_program(
+            program.codes_bytes,
+            program.num_instructions,
+            problem.atom_buffer(program),
+            program.outputs_bytes,
         )
-        row = problem.pw * 8
-        from_bytes = int.from_bytes
-        return [
-            from_bytes(out[offset : offset + row], "little")
-            for offset in range(0, len(out), row)
-        ]
 
 
 _BIGINT = BigintKernelBackend()

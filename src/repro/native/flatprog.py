@@ -15,10 +15,12 @@ Instruction encoding (int32 stream)::
 
 ``natom`` complements *within the pair universe*: the evaluator masks the
 result with the all-pairs tail mask, exactly like ``all_pairs_mask & ~m``
-in the bigint path.  ``call`` nodes become atoms too — their truth vector
-is tabulated in Python (memoized per execution in ``_node_masks`` like the
-bigint path) and handed to the evaluator as data, so even callable-defined
-models run through the native evaluator.
+in the bigint path.  Builtin trait and SameAddr atoms carry a C spec
+(:attr:`FlatProgram.atom_specs`) so one ``Problem.atom_masks`` call
+computes their truth vectors; dependency, custom-predicate and ``call``
+atoms are tabulated in Python (memoized per execution in ``_atom_masks`` /
+``_node_masks`` like the bigint path) and handed to the evaluator as data,
+so even callable-defined models run through the native evaluator.
 
 A model *column* flattens to one combined program
 (:func:`flat_program_multi`): the roots share a single register file keyed
@@ -32,9 +34,12 @@ the closure cache the bigint lowering keeps on the node itself.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Sequence, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compile.ir import IRNode
+from repro.core.predicates import FENCE, MEMORY_ACCESS, READ, SAME_ADDR, WRITE
 
 OP_TRUE = 0
 OP_FALSE = 1
@@ -44,10 +49,41 @@ OP_AND = 4
 OP_OR = 5
 
 
+#: flag-bit position per builtin unary trait, matching the C ``atom_masks``
+#: spec encoding (code 0, a = bit, b = pair side).
+_TRAIT_BITS = {id(READ): 0, id(WRITE): 1, id(FENCE): 2, id(MEMORY_ACCESS): 3}
+
+#: the ``atom_masks`` spec of an atom with no builtin encoding (a zero row
+#: the Python fallback fills in)
+_FALLBACK_SPEC = (2, 0, 0)
+
+
+def _builtin_atom_spec(node: IRNode) -> Optional[Tuple[int, int, int]]:
+    """The C ``atom_masks`` spec triple for a builtin atom, or None.
+
+    Only trait atoms (Read/Write/Fence/MemAccess) and SameAddr flatten to a
+    spec; dependency predicates, custom predicates and opaque calls return
+    None and take the Python path.  Predicates are matched by identity so a
+    user predicate that merely shares a name never reaches the C encoding.
+    """
+    if node.kind == "call":
+        return None
+    args = node.args
+    bit = _TRAIT_BITS.get(id(node.predicate))
+    if bit is not None and len(args) == 1:
+        return (0, bit, 0 if args[0] == "x" else 1)
+    if node.predicate is SAME_ADDR and len(args) == 2:
+        return (1, 0 if args[0] == "x" else 1, 0 if args[1] == "x" else 1)
+    return None
+
+
 class FlatProgram:
     """IR roots flattened to linear register code plus their atom table."""
 
-    __slots__ = ("codes", "codes_bytes", "num_instructions", "atoms", "outputs", "outputs_bytes")
+    __slots__ = (
+        "codes", "codes_bytes", "num_instructions", "atoms", "atom_specs", "fallback",
+        "outputs", "outputs_bytes",
+    )
 
     def __init__(
         self,
@@ -62,6 +98,14 @@ class FlatProgram:
         self.num_instructions = num_instructions
         #: IR atom/natom/call nodes, positions = atom_index operands
         self.atoms = atoms
+        specs = [_builtin_atom_spec(node) for node in atoms]
+        #: every atom's C ``atom_masks`` spec triple, as int32 bytes
+        self.atom_specs = array(
+            "i", chain.from_iterable(spec or _FALLBACK_SPEC for spec in specs)
+        ).tobytes()
+        #: positions of the atoms the C specs cannot express (dependency,
+        #: custom-predicate and call atoms), tabulated in Python
+        self.fallback = tuple(position for position, spec in enumerate(specs) if spec is None)
         #: int32 register index per root, in root order (shared roots may
         #: repeat a register; a root that is a subformula of an earlier one
         #: references an interior register)
@@ -74,6 +118,7 @@ class FlatProgram:
 #: documents stay bounded.
 _MULTI_CACHE: Dict[Tuple[int, ...], FlatProgram] = {}
 _FLAT_CACHE_LIMIT = 8192
+_NODE_ID = attrgetter("node_id")
 
 
 def flat_program_multi(roots: Sequence[IRNode]) -> FlatProgram:
@@ -83,7 +128,7 @@ def flat_program_multi(roots: Sequence[IRNode]) -> FlatProgram:
     the combined program is the *union* of the roots' DAGs — evaluating it
     costs one pass over the distinct subformulas of the whole column.
     """
-    key = tuple(root.node_id for root in roots)
+    key = tuple(map(_NODE_ID, roots))
     program = _MULTI_CACHE.get(key)
     if program is None:
         program = _flatten(roots)

@@ -39,13 +39,15 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.litmus import LitmusTest
 from repro.core.model import MemoryModel
 from repro.core.parametric import model_space
+from repro.engine.context import CheckedTest
 from repro.engine.engine import CheckEngine, EngineStats
 from repro.generation.enumeration import (
+    ItemsTest,
     NaiveEnumerationConfig,
     block_items,
     count_naive_tests,
@@ -420,7 +422,7 @@ def _load_shard(
 # ----------------------------------------------------------------------
 def _column_mask(
     engine: CheckEngine,
-    test: LitmusTest,
+    test: CheckedTest,
     models: Sequence[MemoryModel],
     derive: bool = False,
 ) -> int:
@@ -440,15 +442,19 @@ def _check_items(
 ) -> Tuple[List[int], Dict[str, object]]:
     """Check a batch of tests; their verdict rows and the engine stats spent.
 
-    The :class:`~repro.core.litmus.LitmusTest` objects are materialised
-    here, by whoever checks them: the stream carries only the compact
-    abstract item tuples.
+    The stream carries only the compact abstract item tuples.  On the
+    native kernel they reach the engine as
+    :class:`~repro.generation.enumeration.ItemsTest`, whose C search
+    problem is built from the items directly; any other engine gets the
+    :class:`~repro.core.litmus.LitmusTest` objects, materialised here.
     """
+    kernel = engine.kernel
+    if kernel is not None and kernel.is_native:
+        tests: Iterable[CheckedTest] = map(ItemsTest, names, items_list)
+    else:
+        tests = map(test_from_items, items_list, names)
     with engine.recording() as spent:
-        rows = [
-            _column_mask(engine, test_from_items(items, name), models, derive=derive)
-            for name, items in zip(names, items_list)
-        ]
+        rows = [_column_mask(engine, test, models, derive=derive) for test in tests]
     return rows, spent.as_dict()
 
 

@@ -3,11 +3,14 @@ with the cache on vs off (on both kernel legs), and persistence."""
 
 import pytest
 
+from repro.api.requests import ExhaustiveRequest
+from repro.api.session import Session
 from repro.cache import VerdictCache
 from repro.core.catalog import named_models
 from repro.core.model import MemoryModel
 from repro.engine.engine import CheckEngine
 from repro.generation.named_tests import L_TESTS
+from repro.native.backend import native_available
 
 from tests.conftest import KERNEL_LEGS
 
@@ -127,3 +130,34 @@ def test_opaque_legacy_checkers_skip_the_cache():
     with pytest.raises(TypeError):
         CheckEngine(backend=HomebrewChecker(), verdict_cache=cache)
     assert len(cache) == 0
+
+
+@pytest.mark.skipif(not native_available(), reason="C extension not built")
+def test_items_path_books_and_writes_what_the_object_path_does(tmp_path):
+    """An exhaustive run checks ItemsTest objects on the native kernel and
+    LitmusTest objects on bigint; both key the cache by the same canonical
+    digests, so they book the same misses and puts and write the same
+    persistent lines, and a repeat run is all cache hits."""
+    legs = {}
+    for kernel in ("native", "bigint"):
+        directory = tmp_path / kernel
+        cache = VerdictCache.open(str(directory))
+        session = Session(engine=CheckEngine(kernel=kernel, verdict_cache=cache))
+        first = session.run(ExhaustiveRequest(bound="small", jobs=1)).stats
+        repeat = session.run(ExhaustiveRequest(bound="small", jobs=1)).stats
+        cache.close()
+        with open(directory / "verdicts.jsonl") as handle:
+            lines = handle.read()
+        legs[kernel] = (first, repeat, cache.stats, lines)
+    (native, native_repeat, native_cache, native_lines) = legs["native"]
+    (bigint, bigint_repeat, bigint_cache, bigint_lines) = legs["bigint"]
+    assert native_lines == bigint_lines
+    assert native_cache == bigint_cache
+    for field in ("verdict_cache_misses", "verdict_cache_persisted", "verdict_cache_hits"):
+        assert getattr(native, field) == getattr(bigint, field), field
+    assert native.verdict_cache_misses == native.verdict_cache_persisted > 0
+    assert native.verdict_cache_hits + native.verdict_cache_misses == native.checks_performed
+    for repeat in (native_repeat, bigint_repeat):
+        assert repeat.verdict_cache_hits == repeat.checks_performed > 0
+        assert repeat.verdict_cache_misses == repeat.verdict_cache_persisted == 0
+        assert repeat.native_searches == repeat.fallback_searches == 0

@@ -93,14 +93,10 @@ def test_all_backends_agree_on_verdicts(test, model):
         # Infeasible executions never have a witness on any backend.
         assert all(verdicts.values()), verdicts
         return
-    po_edges = indexed.po_edge_pairs(memory_model)
-    reference = None
+    mask = indexed.po_pair_mask(memory_model)
+    reference = KernelSearch(indexed, indexed.po_edge_pairs(memory_model)).run() is not None
     for backend in BACKENDS:
-        allowed = backend.allowed(IndexedExecution(execution), po_edges)
-        if reference is None:
-            reference = allowed
-        else:
-            assert allowed == reference, backend.name
+        assert backend.allowed(IndexedExecution(execution), mask) == reference, backend.name
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +127,7 @@ def wide_message_passing(n):
 def test_native_matches_bigint_across_word_boundaries(n):
     bigint, native = resolve_kernel("bigint"), resolve_kernel("native")
     execution = wide_message_passing(n).execution()
-    problem = kernel_problem(IndexedExecution(execution))
+    problem = kernel_problem(IndexedExecution(execution)).native
     assert problem.n == n
     assert problem.nw == word_count(n)
     assert problem.pw > 1  # the po-pair masks span several words
@@ -194,17 +190,20 @@ def test_native_backend_reports_native():
 @_SETTINGS
 @given(test=small_litmus_tests(), model=parametric_models())
 def test_batched_atom_masks_match_python_path(test, model):
-    """`atom_words_list` (one C call for builtin atoms) must be bit-identical
-    to `atom_words` (per-node Python masks), cold and warm."""
-    from repro.native.flatprog import flat_program_multi
+    """`atom_buffer` (one C call for builtin atoms) must be bit-identical to
+    the per-node Python masks, cold and warm."""
+    from repro.native.flatprog import flat_program_multi, positive_atom_mask
 
     compiled = compile_model(model.to_memory_model())
     program = flat_program_multi([compiled.root])
     execution = test.execution()
 
-    reference_problem = kernel_problem(IndexedExecution(execution))
-    reference = [reference_problem.atom_words(node) for node in program.atoms]
+    indexed = IndexedExecution(execution)
+    row = 8 * word_count(len(indexed.po_pairs))
+    reference = b"".join(
+        positive_atom_mask(indexed, node).to_bytes(row, "little") for node in program.atoms
+    )
 
     problem = kernel_problem(IndexedExecution(execution))
-    assert problem.atom_words_list(program.atoms) == reference  # cold batch
-    assert problem.atom_words_list(program.atoms) == reference  # fully cached
+    assert problem.atom_buffer(program) == reference  # cold batch
+    assert problem.atom_buffer(program) == reference  # fallback atoms memoized
